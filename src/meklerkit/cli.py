@@ -47,7 +47,13 @@ from .limits import (
     quotient_is_A,
 )
 from .manifest import format_manifest, sha256_hex
-from .mekler import PcGroup, build_mekler, embed_gamma_prime, recover_graph
+from .mekler import (
+    PcGroup,
+    build_mekler,
+    embed_gamma_prime,
+    is_odd_prime,
+    recover_graph,
+)
 from .omni import lift_hom, omni_audit
 
 
@@ -66,6 +72,16 @@ def _load_group(path: str, enum_budget: int):
     g = parse_group(_read_text(path))
     g.enum_budget = enum_budget
     return g
+
+
+def _load_base(args):
+    """The tower base A: the `--a` group file, or C2."""
+    return _load_group(args.a, args.budget_enum) if args.a else cyclic_group(2)
+
+
+def _check_p(p: int) -> None:
+    if not is_odd_prime(p):
+        raise ParseError(f"--p must be an odd prime, got {p}")
 
 
 def _emit(text: str, out: str | None) -> None:
@@ -130,6 +146,7 @@ def _mekler_sections(pc: PcGroup) -> list:
 
 
 def cmd_mekler(args) -> int:
+    _check_p(args.p)
     g = _load_graph(args.graph)
     pc = build_mekler(g, args.p)
     _emit(format_manifest(_mekler_sections(pc)), args.out)
@@ -137,6 +154,7 @@ def cmd_mekler(args) -> int:
 
 
 def cmd_center(args) -> int:
+    _check_p(args.p)
     g = _load_graph(args.graph)
     pc = build_mekler(g, args.p)
     report = pc.center()
@@ -150,6 +168,7 @@ def cmd_center(args) -> int:
 
 
 def cmd_recover(args) -> int:
+    _check_p(args.p)
     g = _load_graph(args.graph)
     pc = build_mekler(g, args.p)
     back = recover_graph(pc)
@@ -282,9 +301,7 @@ def _tower_sections(base, tower, sys_d, absorption_sample: int) -> tuple[list, b
 
 
 def cmd_tower(args) -> int:
-    base = (
-        _load_group(args.a, args.budget_enum) if args.a else cyclic_group(2)
-    )
+    base = _load_base(args)
     tower = make_cayley_tower(
         base, alternating_group(5), args.depth_d, point_budget=args.budget_points
     )
@@ -349,7 +366,10 @@ def cmd_reduce(args) -> int:
         artifacts[name] = sha256_hex(text)
 
     try:
+        # every input is parsed before anything is written
+        _check_p(args.p)
         g = _load_graph(args.graph)
+        base = _load_base(args)
         report = is_nice(g)
         input_section = [
             _kv("vertices", g.n),
@@ -451,11 +471,6 @@ def cmd_reduce(args) -> int:
         )
 
         # stage 3: the tower over the configured small base
-        base = (
-            _load_group(args.a, args.budget_enum)
-            if args.a
-            else cyclic_group(2)
-        )
         tower = make_cayley_tower(
             base,
             alternating_group(5),
@@ -508,6 +523,10 @@ def cmd_reduce(args) -> int:
                 ),
             ]
         )
+    except ParseError as exc:
+        sections.append([_kv("error", f"input: {exc}")])
+        finish("malformed-input", 2)
+        raise  # main reports it on stderr and exits 2
     except BudgetError as exc:
         sections.append([_kv("error", f"budget: {exc}")])
         finish("incomplete", 3)

@@ -413,8 +413,11 @@ def format_graph(g: Graph) -> str:
     return "\n".join(lines) + "\n"
 
 
-def parse_graph(text: str) -> Graph:
-    """Parse the graph text format; 0-based indices, `#` comments."""
+def parse_graph(text: str, vertex_budget: int = DEFAULT_VERTEX_BUDGET) -> Graph:
+    """Parse the graph text format; 0-based indices, `#` comments.
+
+    A vertex count above `vertex_budget` is refused before anything is built.
+    """
     n = None
     edges = []
     seen = set()
@@ -434,6 +437,11 @@ def parse_graph(text: str) -> Graph:
                 raise ParseError(f"bad vertex count {parts[2]!r}", lineno)
             if n < 0:
                 raise ParseError("vertex count must be >= 0", lineno)
+            if n > vertex_budget:
+                raise ParseError(
+                    f"vertex count {n} exceeds the vertex budget {vertex_budget}",
+                    lineno,
+                )
         elif parts[0] == "e":
             if n is None:
                 raise ParseError("edge before problem line", lineno)

@@ -14,12 +14,13 @@ from __future__ import annotations
 
 import itertools
 import math
-from collections import Counter
+from collections import Counter, deque
 from dataclasses import dataclass
 
 from .errors import EnumerationBudgetError, ParseError
 
 DEFAULT_ENUM_BUDGET = 20_000
+CAYLEY_TABLE_MAX = 2048  # dense Cayley tables only up to this many elements
 
 
 class Perm:
@@ -150,6 +151,26 @@ def closure_elements(gens, degree: int, maxsize: int | None = None):
     return order
 
 
+def _closure_mask(g: PermGroup, gens, maxsize: int):
+    """`closure_elements` on g's element positions: (order, bitmask) or None."""
+    els, pos, table = g._indexed()
+    frontier = [pos[g.identity()]]
+    order, mask = list(frontier), 1 << frontier[0]
+    while frontier:
+        fresh = []
+        for a in frontier:
+            row = table[a] if table else {b: pos[els[a] * els[b]] for b in gens}
+            for b in gens:
+                if not mask >> row[b] & 1:
+                    mask |= 1 << row[b]
+                    fresh.append(row[b])
+        order += fresh
+        if len(order) > maxsize:
+            return None
+        frontier = fresh
+    return order, mask
+
+
 class PermGroup:
     """Permutation group given by generators; enumeration is lazy and budgeted.
 
@@ -180,6 +201,8 @@ class PermGroup:
         self.enum_budget = enum_budget
         self._elements = None
         self._element_set = None
+        self._index = None  # (elements, Perm -> position, Cayley table)
+        self._lattice = (0, [])  # (order bound, [(positions, bitmask)])
 
     def identity(self) -> Perm:
         return Perm.identity(self.degree)
@@ -210,6 +233,17 @@ class PermGroup:
         if self._element_set is None:
             self._element_set = frozenset(self.elements())
         return self._element_set
+
+    def _indexed(self) -> tuple:
+        """(elements, Perm -> position, table[a][b] = pos(els[a] * els[b]))."""
+        if self._index is None:
+            els = self.elements()
+            pos = {x: i for i, x in enumerate(els)}
+            table = None
+            if len(els) <= CAYLEY_TABLE_MAX:
+                table = [[pos[a * b] for b in els] for a in els]
+            self._index = (els, pos, table)
+        return self._index
 
     def order(self) -> int:
         if self.known_order is not None:
@@ -605,47 +639,51 @@ def is_simple(g: PermGroup) -> SimplicityReport:
     return SimplicityReport(True, None)
 
 
-def _subgroup_key(elements) -> tuple:
-    return tuple(sorted(p.images for p in elements))
-
-
 def subgroups_containing(
     g: PermGroup, seed_gens, order_bound: int
 ) -> list[PermGroup]:
     """All subgroups H with <seed_gens> <= H <= g and |H| <= order_bound.
 
-    Cyclic-extension search: grow by one generator at a time, deduplicate by
-    element set.  Every target subgroup is reached because each partial
-    closure sits inside it, hence under the bound.
+    Cyclic-extension search from the trivial group on element positions:
+    grow by one element at a time, deduplicating by element set; each
+    partial closure sits inside its target, hence under the bound.  The
+    lattice is built once per group, up to the largest bound asked so far,
+    and each call filters it by a bitmask subset test against <seed_gens>.
+    H's generators are seed_gens plus a greedy completion from H's
+    elements; with no seed that is the search path that found H.
     """
-    base = closure_elements(list(seed_gens), g.degree, maxsize=order_bound)
-    if base is None:
-        return []
-    start_gens = tuple(seed_gens)
-    seen = {frozenset(base)}
-    found = [(start_gens, base)]
-    queue = [(start_gens, base)]
-    all_els = g.elements()
-    while queue:
-        gens, els = queue.pop(0)
-        els_set = set(els)
-        for x in all_els:
-            if x in els_set:
-                continue
-            bigger = closure_elements(list(gens) + [x], g.degree, maxsize=order_bound)
-            if bigger is None:
-                continue
-            key = frozenset(bigger)
-            if key not in seen:
-                seen.add(key)
-                entry = (tuple(gens) + (x,), bigger)
-                found.append(entry)
-                queue.append(entry)
-    found.sort(key=lambda t: (len(t[1]), _subgroup_key(t[1])))
-    return [
-        PermGroup.from_elements(g.degree, gens if gens else [], els)
-        for gens, els in found
-    ]
+    els, pos, _ = g._indexed()
+    bound = min(order_bound, len(els))
+    if g._lattice[0] < bound:
+        found, seen = [], set()
+        queue = deque([((), _closure_mask(g, [], bound))])
+        while queue:
+            gens, (order, mask) = queue.popleft()
+            found.append((order, mask))
+            for x in range(len(els)):
+                if not mask >> x & 1:
+                    bigger = _closure_mask(g, gens + (x,), bound)
+                    if bigger is not None and bigger[1] not in seen:
+                        seen.add(bigger[1])
+                        queue.append((gens + (x,), bigger))
+        found.sort(key=lambda t: (len(t[0]), sorted(els[i].images for i in t[0])))
+        g._lattice = (bound, found)
+    if not all(x in pos for x in seed_gens):
+        raise ValueError("seed generator outside the group")
+    seed = [pos[x] for x in seed_gens]
+    base = _closure_mask(g, seed, order_bound)
+    out = []
+    for order, mask in g._lattice[1]:
+        if base is None or len(order) > order_bound or base[1] & ~mask:
+            continue
+        gens, cur = list(seed), base[1]
+        for x in order:
+            if not cur >> x & 1:
+                gens.append(x)
+                cur = _closure_mask(g, gens, len(order))[1]
+        h_gens, h_els = [els[i] for i in gens], [els[i] for i in order]
+        out.append(PermGroup.from_elements(g.degree, h_gens, h_els))
+    return out
 
 
 def subgroups(g: PermGroup, order_bound: int) -> list[PermGroup]:

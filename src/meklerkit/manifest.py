@@ -14,6 +14,14 @@ Section = list[tuple[str, str]]
 
 
 def format_manifest(sections: list[Section]) -> str:
+    """Text that `parse_manifest` reads back as exactly `sections`.
+
+    Raises ValueError for input it could not read back: no sections, a key
+    containing ':', a line break inside an entry, or leading or trailing
+    whitespace around a key or value.
+    """
+    if not sections:
+        raise ValueError("a manifest has at least one section")
     blocks = []
     for section in sections:
         lines = []
@@ -22,9 +30,17 @@ def format_manifest(sections: list[Section]) -> str:
             value = str(value)
             if ":" in key:
                 raise ValueError(f"manifest key may not contain ':': {key!r}")
-            if "\n" in key or "\n" in value:
+            line = f"{key}: {value}"
+            # the parser splits with str.splitlines(), which breaks at more
+            # than "\n"; a trailing break is caught as whitespace below
+            if len(line.splitlines()) != 1:
                 raise ValueError("manifest entries must be single-line")
-            lines.append(f"{key}: {value}")
+            if key != key.strip() or value != value.strip():
+                raise ValueError(
+                    f"manifest entry has leading or trailing whitespace: "
+                    f"{key!r}: {value!r}"
+                )
+            lines.append(line)
         blocks.append("\n".join(lines))
     return ("\n---\n".join(blocks)) + "\n"
 

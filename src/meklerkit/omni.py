@@ -136,7 +136,9 @@ def omni_check(query: OmniQuery, search_bound: int) -> OmniWitness | None:
 
     Subgroups H with F <= H <= gamma and |H| <= search_bound are visited in
     deterministic (order, element-set) order; |target| must divide |H| for a
-    surjection to exist, so other orders are skipped soundly.
+    surjection to exist, so other orders are skipped soundly.  gamma's
+    subgroup lattice is built once per group instance, so each call only
+    filters it by F (see `subgroups_containing`).
     """
     query.validate()
     t_order = query.target.order()

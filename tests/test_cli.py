@@ -180,6 +180,31 @@ def test_tower_depth_two_over_budget(capsys):
     assert "budget error:" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", ["mekler", "center", "recover", "reduce"])
+def test_non_prime_p_exits_2(tmp_path, capsys, command):
+    src = write(tmp_path, "c5.txt", C5)
+    argv = [command, src, "--p", "4"]
+    if command == "reduce":
+        argv += ["--out", str(tmp_path / "run")]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "odd prime" in err
+    assert len(err.splitlines()) == 1
+
+
+def test_reduce_bad_base_fails_before_writing(tmp_path, capsys):
+    src = write(tmp_path, "c5.txt", C5)
+    outdir = tmp_path / "run"
+    missing = str(tmp_path / "missing.txt")
+    assert main(["reduce", src, "--p", "3", "--a", missing, "--out", str(outdir)]) == 2
+    assert "error:" in capsys.readouterr().err
+    assert sorted(p.name for p in outdir.iterdir()) == ["manifest.txt"]
+    info = flat((outdir / "manifest.txt").read_text())
+    assert info["status"] == "malformed-input"
+    assert info["artifacts"] == "none"
+    assert info["error"].startswith("input: cannot read")
+
+
 def test_reduce_refuses_non_nice_input(tmp_path, capsys):
     src = write(tmp_path, "k3.txt", K3)
     outdir = tmp_path / "run"
@@ -231,6 +256,9 @@ def test_reduce_artifacts_and_determinism(tmp_path, capsys):
 
     info = flat((runs[0] / "manifest.txt").read_text())
     assert info["status"] == "complete"
+    # the regression oracle: these bytes change only on purpose
+    manifest_digest = hashlib.sha256((runs[0] / "manifest.txt").read_bytes())
+    assert manifest_digest.hexdigest().startswith("9ca006ee6989")
     assert info["gamma_order"] == "3^10"
     assert info["stage_sizes"] == "5 -> 37"
     # recorded digests match the artifact bytes on disk

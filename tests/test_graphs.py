@@ -267,6 +267,10 @@ def test_parse_graph_errors():
         parse_graph("p graph 3\ne 1 1")
     with pytest.raises(ParseError):
         parse_graph("p graph x")
+    # the vertex count is budgeted before any vertex is built
+    with pytest.raises(ParseError, match="vertex budget"):
+        parse_graph("p graph 5\n", vertex_budget=4)
+    assert parse_graph("p graph 4\n", vertex_budget=4).n == 4
     # comments and blank lines are fine
     g = parse_graph("# a path\np graph 3\n\ne 0 1\n# middle\ne 1 2\n")
     assert g == path_graph(3)

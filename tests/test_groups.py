@@ -12,6 +12,7 @@ from collections import Counter
 
 import pytest
 
+import meklerkit.groups
 from conftest import random_perm, subgroup_sets_by_subsets
 from meklerkit import (
     EnumerationBudgetError,
@@ -24,6 +25,7 @@ from meklerkit import (
     brute_iso,
     cayley_embedding_even,
     center_elements,
+    closure_elements,
     compose_homs,
     conjugacy_classes,
     cyclic_group,
@@ -285,6 +287,8 @@ def test_subgroup_enumeration_against_subset_oracle():
     assert len(subgroups(cyclic_group(4), 4)) == 3
     assert len(subgroups(dihedral_group(4), 8)) == 10
     assert len(subgroups(quaternion_group(), 8)) == 6
+    assert len(subgroups(symmetric_group(4), 24)) == 30
+    assert len(subgroups(alternating_group(5), 60)) == 59
 
 
 def test_subgroups_respect_bound_and_seed():
@@ -298,6 +302,49 @@ def test_subgroups_respect_bound_and_seed():
         assert seed[0] in h.element_set()
         assert tuple(h.gens[: len(seed)]) == tuple(seed)
     assert any(h.order() == 8 for h in containing)
+
+
+def test_subgroups_containing_matches_brute_filter():
+    s4 = symmetric_group(4)
+    lattice = [frozenset(h.elements()) for h in subgroups(symmetric_group(4), 24)]
+    for f in subgroups(s4, 24):
+        f_set = f.element_set()
+        for bound in range(1, 25):
+            got = subgroups_containing(s4, f.gens, bound)
+            want = [h for h in lattice if f_set <= h and len(h) <= bound]
+            assert [frozenset(h.elements()) for h in got] == want
+            for h in got:
+                assert h.gens[: len(f.gens)] == f.gens
+                assert len(closure_elements(h.gens, 4)) == h.order()
+
+
+def test_subgroup_lattice_memo_is_per_instance():
+    def shape(groups):
+        return [(h.gens, h.elements()) for h in groups]
+
+    a, b = symmetric_group(4), symmetric_group(4)
+    seed = [Perm((1, 0, 2, 3))]
+    # a's memo grows then is filtered; b's is built at full size first
+    for bound_a, bound_b in [(4, 24), (24, 6), (6, 4)]:
+        subgroups(a, bound_a)
+        subgroups(b, bound_b)
+    for bound in (1, 4, 6, 12, 24):
+        assert shape(subgroups(a, bound)) == shape(subgroups(b, bound))
+        assert shape(subgroups_containing(a, seed, bound)) == shape(
+            subgroups_containing(b, seed, bound)
+        )
+
+
+def test_subgroups_without_cayley_table(monkeypatch):
+    # past CAYLEY_TABLE_MAX products are taken on demand, with the same result
+    def shape(groups):
+        return [(h.gens, h.elements()) for h in groups]
+
+    want = shape(subgroups(symmetric_group(4), 24))
+    monkeypatch.setattr(meklerkit.groups, "CAYLEY_TABLE_MAX", 10)
+    s4 = symmetric_group(4)
+    assert shape(subgroups(s4, 24)) == want
+    assert s4._indexed()[2] is None
 
 
 def test_brute_iso_positive():

@@ -4,8 +4,21 @@ import hashlib
 import random
 
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from meklerkit import ParseError, format_manifest, parse_manifest, sha256_hex
+
+# every character str.splitlines() breaks at
+LINE_BREAKS = "\n\r\x0b\x0c\x1c\x1d\x1e\x85\u2028\u2029"
+# line breaks, whitespace and the format's own syntax, among arbitrary text
+tricky_text = st.text(
+    alphabet=st.sampled_from(list(LINE_BREAKS + " \t:-ab")) | st.characters(),
+    max_size=8,
+)
+sections_strategy = st.lists(
+    st.lists(st.tuples(tricky_text, tricky_text), max_size=4), max_size=4
+)
 
 
 def test_round_trip_single_section():
@@ -42,6 +55,39 @@ def test_newlines_rejected():
         format_manifest([[("k", "line1\nline2")]])
     with pytest.raises(ValueError, match="single-line"):
         format_manifest([[("k\n", "v")]])
+    for ch in LINE_BREAKS:
+        assert len(f"a{ch}b".splitlines()) == 2
+        with pytest.raises(ValueError, match="single-line"):
+            format_manifest([[("k", f"a{ch}b")]])
+
+
+def test_surrounding_whitespace_rejected():
+    for key, value in [("k", " a "), ("k", "a "), (" k", "a"), ("k\t", "a")]:
+        with pytest.raises(ValueError, match="whitespace"):
+            format_manifest([[(key, value)]])
+    with pytest.raises(ValueError):
+        format_manifest([])
+
+
+@given(sections_strategy)
+@example([[("k", "a\rb")]])
+@example([[("k", " a ")]])
+@example([[], [("", "")], []])
+def test_parse_inverts_format_on_accepted_input(sections):
+    try:
+        text = format_manifest(sections)
+    except ValueError:
+        return
+    assert parse_manifest(text) == sections
+
+
+@given(st.text())
+@example("a: 1\n---\nb\r: 2\u2028c")
+def test_parse_raises_only_parse_error(text):
+    try:
+        parse_manifest(text)
+    except ParseError:
+        pass
 
 
 def test_parse_error_reports_line_number():

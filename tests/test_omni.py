@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import hashlib
 import itertools
 
 import pytest
@@ -183,6 +184,16 @@ def test_audit_h_block_flags():
     # with the full bound those same rows become witnessed inside the kernel
     full = omni_audit(gamma, 2, 6, search_bound=120, h_block=kernel)
     assert not full.flagged
+
+
+def test_audit_report_bytes_pinned():
+    # the omni_report.txt artifact of the default `reduce` run
+    sys = build_D(make_cayley_tower(cyclic_group(2), alternating_group(5), 0))
+    rep = omni_audit(
+        sys.stages[0], 2, 6, search_bound=12, h_block=kernel_at_stage(sys, 0)
+    )
+    digest = hashlib.sha256(rep.format_text().encode("utf-8")).hexdigest()
+    assert digest.startswith("bf207a6b4262")
 
 
 def test_audit_respects_lagrange_pruning_soundness():
