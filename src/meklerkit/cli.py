@@ -61,7 +61,7 @@ def _read_text(path: str) -> str:
     try:
         return Path(path).read_text(encoding="utf-8")
     except OSError as exc:
-        raise ParseError(f"cannot read {path}: {exc.strerror or exc}")
+        raise ParseError(f"cannot read {path!r}: {exc.strerror or exc}")
 
 
 def _load_graph(path: str):
@@ -344,7 +344,7 @@ def cmd_reduce(args) -> int:
             _kv("force", args.force),
             _kv("budget_vertices", args.budget_vertices),
             _kv("budget_points", args.budget_points),
-            _kv("base", args.a if args.a else "C2 (built in)"),
+            _kv("base", repr(args.a) if args.a else "C2 (built in)"),
         ],
     ]
     verdicts: list[bool] = []

@@ -413,10 +413,11 @@ def format_graph(g: Graph) -> str:
     return "\n".join(lines) + "\n"
 
 
-def parse_graph(text: str, vertex_budget: int = DEFAULT_VERTEX_BUDGET) -> Graph:
+def parse_graph(text: str) -> Graph:
     """Parse the graph text format; 0-based indices, `#` comments.
 
-    A vertex count above `vertex_budget` is refused before anything is built.
+    A vertex count above `DEFAULT_VERTEX_BUDGET` is refused before anything
+    is built.
     """
     n = None
     edges = []
@@ -437,9 +438,10 @@ def parse_graph(text: str, vertex_budget: int = DEFAULT_VERTEX_BUDGET) -> Graph:
                 raise ParseError(f"bad vertex count {parts[2]!r}", lineno)
             if n < 0:
                 raise ParseError("vertex count must be >= 0", lineno)
-            if n > vertex_budget:
+            if n > DEFAULT_VERTEX_BUDGET:
                 raise ParseError(
-                    f"vertex count {n} exceeds the vertex budget {vertex_budget}",
+                    f"vertex count {n} exceeds the vertex budget "
+                    f"{DEFAULT_VERTEX_BUDGET}",
                     lineno,
                 )
         elif parts[0] == "e":

@@ -14,13 +14,12 @@ from __future__ import annotations
 
 import itertools
 import math
-from collections import Counter, deque
+from collections import Counter
 from dataclasses import dataclass
 
 from .errors import EnumerationBudgetError, ParseError
 
 DEFAULT_ENUM_BUDGET = 20_000
-CAYLEY_TABLE_MAX = 2048  # dense Cayley tables only up to this many elements
 
 
 class Perm:
@@ -159,11 +158,14 @@ def _closure_mask(g: PermGroup, gens, maxsize: int):
     while frontier:
         fresh = []
         for a in frontier:
-            row = table[a] if table else {b: pos[els[a] * els[b]] for b in gens}
+            row = table[a]
             for b in gens:
-                if not mask >> row[b] & 1:
-                    mask |= 1 << row[b]
-                    fresh.append(row[b])
+                c = row.get(b)
+                if c is None:  # each product is taken once, on first use
+                    c = row[b] = pos[els[a] * els[b]]
+                if not mask >> c & 1:
+                    mask |= 1 << c
+                    fresh.append(c)
         order += fresh
         if len(order) > maxsize:
             return None
@@ -201,8 +203,8 @@ class PermGroup:
         self.enum_budget = enum_budget
         self._elements = None
         self._element_set = None
-        self._index = None  # (elements, Perm -> position, Cayley table)
-        self._lattice = (0, [])  # (order bound, [(positions, bitmask)])
+        self._index = None  # (elements, Perm -> position, lazy Cayley table)
+        self._lattice = (0, [])  # (order bound, [subgroup bitmask])
 
     def identity(self) -> Perm:
         return Perm.identity(self.degree)
@@ -235,14 +237,10 @@ class PermGroup:
         return self._element_set
 
     def _indexed(self) -> tuple:
-        """(elements, Perm -> position, table[a][b] = pos(els[a] * els[b]))."""
+        """(elements, Perm -> position, product table that fills on use)."""
         if self._index is None:
             els = self.elements()
-            pos = {x: i for i, x in enumerate(els)}
-            table = None
-            if len(els) <= CAYLEY_TABLE_MAX:
-                table = [[pos[a * b] for b in els] for a in els]
-            self._index = (els, pos, table)
+            self._index = (els, {x: i for i, x in enumerate(els)}, [{} for _ in els])
         return self._index
 
     def order(self) -> int:
@@ -644,46 +642,48 @@ def subgroups_containing(
 ) -> list[PermGroup]:
     """All subgroups H with <seed_gens> <= H <= g and |H| <= order_bound.
 
-    Cyclic-extension search from the trivial group on element positions:
-    grow by one element at a time, deduplicating by element set; each
-    partial closure sits inside its target, hence under the bound.  The
-    lattice is built once per group, up to the largest bound asked so far,
-    and each call filters it by a bitmask subset test against <seed_gens>.
-    H's generators are seed_gens plus a greedy completion from H's
-    elements; with no seed that is the search path that found H.
+    Cyclic-extension search: grow by one element at a time, deduplicating by
+    element set.  The lattice is built once per group, up to the largest bound
+    asked, as bitmasks of element positions; each call reruns the search from
+    <seed_gens> on the masks alone, so H's generators are seed_gens + path.
     """
     els, pos, _ = g._indexed()
     bound = min(order_bound, len(els))
     if g._lattice[0] < bound:
-        found, seen = [], set()
-        queue = deque([((), _closure_mask(g, [], bound))])
-        while queue:
-            gens, (order, mask) = queue.popleft()
-            found.append((order, mask))
+        found = {_closure_mask(g, [], bound)[1]: ()}
+        queue = list(found)
+        for mask in queue:
             for x in range(len(els)):
-                if not mask >> x & 1:
-                    bigger = _closure_mask(g, gens + (x,), bound)
-                    if bigger is not None and bigger[1] not in seen:
-                        seen.add(bigger[1])
-                        queue.append((gens + (x,), bigger))
-        found.sort(key=lambda t: (len(t[0]), sorted(els[i].images for i in t[0])))
+                gens = found[mask] + (x,)
+                bigger = not mask >> x & 1 and _closure_mask(g, gens, bound)
+                if bigger and bigger[1] not in found:
+                    found[bigger[1]] = gens
+                    queue.append(bigger[1])
+        found = sorted(found, key=lambda m: (m.bit_count(), sorted(
+            els[i].images for i in range(len(els)) if m >> i & 1)))
         g._lattice = (bound, found)
-    if not all(x in pos for x in seed_gens):
-        raise ValueError("seed generator outside the group")
-    seed = [pos[x] for x in seed_gens]
+    seed = tuple(pos[x] for x in seed_gens)
     base = _closure_mask(g, seed, order_bound)
-    out = []
-    for order, mask in g._lattice[1]:
-        if base is None or len(order) > order_bound or base[1] & ~mask:
-            continue
-        gens, cur = list(seed), base[1]
-        for x in order:
-            if not cur >> x & 1:
-                gens.append(x)
-                cur = _closure_mask(g, gens, len(order))[1]
-        h_gens, h_els = [els[i] for i in gens], [els[i] for i in order]
-        out.append(PermGroup.from_elements(g.degree, h_gens, h_els))
-    return out
+    if base is None:
+        return []
+    kept = [m for m in g._lattice[1]
+            if m.bit_count() <= order_bound and not base[1] & ~m]
+    paths, queue = {base[1]: seed}, [base[1]]
+    for k in queue:
+        taken, steps = k, []
+        for m in kept:  # smallest first, so x's first hit is <K, x>
+            if not k & ~m and (fresh := m & ~taken):
+                steps.append(((fresh & -fresh).bit_length() - 1, m))
+                taken |= m
+        for x, m in sorted(steps):
+            if m not in paths:
+                paths[m] = paths[k] + (x,)
+                queue.append(m)
+    return [
+        PermGroup.from_elements(g.degree, [els[i] for i in paths[m]], [
+            els[i] for i in _closure_mask(g, paths[m], order_bound)[0]])
+        for m in kept
+    ]
 
 
 def subgroups(g: PermGroup, order_bound: int) -> list[PermGroup]:

@@ -205,6 +205,27 @@ def test_reduce_bad_base_fails_before_writing(tmp_path, capsys):
     assert info["error"].startswith("input: cannot read")
 
 
+def test_reduce_unreadable_graph_path_with_newline(tmp_path, capsys):
+    outdir = tmp_path / "run"
+    missing = str(tmp_path / "no\nsuch.txt")
+    assert main(["reduce", missing, "--p", "3", "--out", str(outdir)]) == 2
+    assert capsys.readouterr().err.startswith("error:")
+    info = flat((outdir / "manifest.txt").read_text())
+    assert info["status"] == "malformed-input"
+    assert info["error"] == f"input: cannot read {missing!r}: No such file or directory"
+
+
+def test_reduce_base_path_with_trailing_space(tmp_path, capsys):
+    src = write(tmp_path, "c5.txt", C5)
+    base = write(tmp_path, "c2.txt ", C2_GROUP)
+    outdir = tmp_path / "run"
+    assert main(["reduce", src, "--p", "3", "--a", base, "--out", str(outdir)]) == 0
+    capsys.readouterr()
+    sections = parse_manifest((outdir / "manifest.txt").read_text())
+    assert ("base", repr(base)) in sections[1]  # the run configuration
+    assert sections[-1] == [("status", "complete")]
+
+
 def test_reduce_refuses_non_nice_input(tmp_path, capsys):
     src = write(tmp_path, "k3.txt", K3)
     outdir = tmp_path / "run"

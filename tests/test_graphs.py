@@ -11,6 +11,7 @@ import random
 
 import pytest
 
+import meklerkit.graphs
 from conftest import all_graphs, random_graph
 from meklerkit import (
     Graph,
@@ -256,7 +257,7 @@ def test_format_parse_round_trip():
     assert back.n == 6 and back.edge_count() == 5
 
 
-def test_parse_graph_errors():
+def test_parse_graph_errors(monkeypatch):
     with pytest.raises(ParseError):
         parse_graph("")
     with pytest.raises(ParseError, match="line 2"):
@@ -268,9 +269,10 @@ def test_parse_graph_errors():
     with pytest.raises(ParseError):
         parse_graph("p graph x")
     # the vertex count is budgeted before any vertex is built
+    monkeypatch.setattr(meklerkit.graphs, "DEFAULT_VERTEX_BUDGET", 4)
     with pytest.raises(ParseError, match="vertex budget"):
-        parse_graph("p graph 5\n", vertex_budget=4)
-    assert parse_graph("p graph 4\n", vertex_budget=4).n == 4
+        parse_graph("p graph 5\n")
+    assert parse_graph("p graph 4\n").n == 4
     # comments and blank lines are fine
     g = parse_graph("# a path\np graph 3\n\ne 0 1\n# middle\ne 1 2\n")
     assert g == path_graph(3)

@@ -12,7 +12,6 @@ from collections import Counter
 
 import pytest
 
-import meklerkit.groups
 from conftest import random_perm, subgroup_sets_by_subsets
 from meklerkit import (
     EnumerationBudgetError,
@@ -318,6 +317,26 @@ def test_subgroups_containing_matches_brute_filter():
                 assert len(closure_elements(h.gens, 4)) == h.order()
 
 
+def test_seeded_search_adds_as_few_generators_as_the_search_depth():
+    # H's generators past the seed follow a shortest cyclic-extension path
+    # from <seed> to H, which is what the per-row hom search iterates over
+    s4 = symmetric_group(4)
+    for f in subgroups(s4, 24):
+        base = frozenset(closure_elements(f.gens, 4))
+        depth, queue = {base: 0}, [(list(f.gens), base)]
+        for gens, els in queue:
+            for x in s4.elements():
+                if x not in els:
+                    bigger = frozenset(closure_elements(gens + [x], 4))
+                    if bigger not in depth:
+                        depth[bigger] = depth[els] + 1
+                        queue.append((gens + [x], bigger))
+        got = subgroups_containing(s4, f.gens, 24)
+        assert len(got) == len(depth)
+        for h in got:
+            assert len(h.gens) - len(f.gens) == depth[h.element_set()]
+
+
 def test_subgroup_lattice_memo_is_per_instance():
     def shape(groups):
         return [(h.gens, h.elements()) for h in groups]
@@ -335,16 +354,17 @@ def test_subgroup_lattice_memo_is_per_instance():
         )
 
 
-def test_subgroups_without_cayley_table(monkeypatch):
-    # past CAYLEY_TABLE_MAX products are taken on demand, with the same result
-    def shape(groups):
-        return [(h.gens, h.elements()) for h in groups]
-
-    want = shape(subgroups(symmetric_group(4), 24))
-    monkeypatch.setattr(meklerkit.groups, "CAYLEY_TABLE_MAX", 10)
+def test_lazy_cayley_table_holds_true_products():
+    # the table is filled on first use: a small bound takes few products
     s4 = symmetric_group(4)
-    assert shape(subgroups(s4, 24)) == want
-    assert s4._indexed()[2] is None
+    subgroups(s4, 2)
+    els, _, table = s4._indexed()
+    small = sum(len(row) for row in table)
+    subgroups(s4, 24)
+    assert 0 < small < sum(len(row) for row in table) <= 24 * 24
+    for a, row in enumerate(table):
+        for b, c in row.items():
+            assert els[a] * els[b] == els[c]
 
 
 def test_brute_iso_positive():
