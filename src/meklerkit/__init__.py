@@ -113,101 +113,3 @@ from .omni import (
     omni_check,
 )
 from .words import FPWord, FreeProduct, Letter
-
-__all__ = [
-    "__version__",
-    "BudgetError",
-    "EnumerationBudgetError",
-    "ParseError",
-    "PointBudgetError",
-    "VertexBudgetError",
-    "ExtensionAudit",
-    "Graph",
-    "GraphIso",
-    "NiceReport",
-    "SubsetVertex",
-    "audit_extension_property",
-    "check_extension_property",
-    "complete_graph",
-    "cycle_graph",
-    "empty_graph",
-    "extend",
-    "extend_iso",
-    "extend_tower",
-    "find_square",
-    "find_triangle",
-    "format_graph",
-    "is_nice",
-    "parse_graph",
-    "path_graph",
-    "petersen_graph",
-    "DirectSum",
-    "Hom",
-    "Perm",
-    "PermGroup",
-    "SimplicityReport",
-    "alternating_group",
-    "automorphisms",
-    "brute_iso",
-    "cayley_embedding_even",
-    "center_elements",
-    "closure_elements",
-    "compose_homs",
-    "conjugacy_classes",
-    "cyclic_group",
-    "derived_subgroup_elements",
-    "dihedral_group",
-    "direct_sum",
-    "enumerate_homs",
-    "format_group",
-    "format_perm",
-    "is_simple",
-    "iso_invariant_mismatch",
-    "klein_four_group",
-    "normal_closure",
-    "parse_group",
-    "parse_perm",
-    "quaternion_group",
-    "quotient_group",
-    "small_groups_catalog",
-    "subgroups",
-    "subgroups_containing",
-    "symmetric_group",
-    "trivial_group",
-    "verify_hom_table",
-    "AbsorptionReport",
-    "DirectSystem",
-    "DTower",
-    "LimitElement",
-    "QuotientCheck",
-    "build_D",
-    "check_normal_absorption",
-    "kernel_at_stage",
-    "make_cayley_tower",
-    "project_pi",
-    "quotient_is_A",
-    "s_membership",
-    "format_manifest",
-    "parse_manifest",
-    "sha256_hex",
-    "CenterReport",
-    "PcElement",
-    "PcGroup",
-    "PcHom",
-    "build_mekler",
-    "embed_gamma_prime",
-    "format_pc_element",
-    "parse_pc_element",
-    "recover_graph",
-    "LiftWitness",
-    "OmniAuditReport",
-    "OmniAuditRow",
-    "OmniQuery",
-    "OmniWitness",
-    "lift_hom",
-    "omni_audit",
-    "omni_check",
-    "FPWord",
-    "FreeProduct",
-    "Letter",
-]

@@ -48,6 +48,7 @@ from .limits import (
 )
 from .manifest import format_manifest, sha256_hex
 from .mekler import (
+    MAX_P,
     PcGroup,
     build_mekler,
     embed_gamma_prime,
@@ -80,8 +81,8 @@ def _load_base(args):
 
 
 def _check_p(p: int) -> None:
-    if not is_odd_prime(p):
-        raise ParseError(f"--p must be an odd prime, got {p}")
+    if p > MAX_P or not is_odd_prime(p):
+        raise ParseError(f"--p must be an odd prime <= {MAX_P}, got {p}")
 
 
 def _emit(text: str, out: str | None) -> None:

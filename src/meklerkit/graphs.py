@@ -97,11 +97,6 @@ class Graph:
             self._key = hashlib.sha256(text.encode("utf-8")).hexdigest()[:12]
         return self._key
 
-    def structure_key(self) -> str:
-        """Content key over vertex count and edges only (labels ignored)."""
-        text = ";".join([str(self.n)] + [f"{i}-{j}" for i, j in sorted(self.edges)])
-        return hashlib.sha256(text.encode("utf-8")).hexdigest()[:12]
-
     def __eq__(self, other):
         return (
             isinstance(other, Graph)

@@ -20,6 +20,7 @@ from dataclasses import dataclass
 from .errors import EnumerationBudgetError, ParseError
 
 DEFAULT_ENUM_BUDGET = 20_000
+DEFAULT_POINT_BUDGET = 10**5  # largest degree of a group file or a tower stage
 
 
 class Perm:
@@ -547,29 +548,55 @@ def verify_hom_table(h: Hom, pair_limit: int = 1024) -> bool:
     return True
 
 
+def _order_pool(x: Perm, codomain: PermGroup, exact: bool = False) -> list[Perm]:
+    """Candidate images of x: order dividing x's order, or equal to it if exact.
+
+    Any hom sends an order-n element to one whose order divides n, and an
+    injective one keeps the order, so this pruning never loses a hom.
+    """
+    n = x.order()
+    return [y for y in codomain.elements()
+            if (y.order() == n if exact else n % y.order() == 0)]
+
+
+def _homs(domain: PermGroup, codomain: PermGroup, pools):
+    """Homs sending generator i into pools[i], lazily, in product order.
+
+    Candidates whose table build finds a conflict are skipped, so every
+    yielded Hom is verified.
+    """
+    for images in itertools.product(*pools):
+        try:
+            yield Hom(domain, codomain, images).verify()
+        except ValueError:
+            continue
+
+
 # ---------------------------------------------------------------------------
 # structural queries
 # ---------------------------------------------------------------------------
 
+def _conjugates(g: PermGroup, x: Perm) -> list[Perm]:
+    """The conjugacy class of x, in the order a FIFO walk over g.gens finds it."""
+    orbit, seen = [x], {x}
+    for y in orbit:
+        for s in g.gens:
+            z = s * y * ~s
+            if z not in seen:
+                seen.add(z)
+                orbit.append(z)
+    return orbit
+
+
 def conjugacy_classes(g: PermGroup) -> list[tuple[Perm, ...]]:
     """Conjugacy classes in deterministic order (by first element found)."""
-    els = g.elements()
     seen = set()
     classes = []
-    for x in els:
-        if x in seen:
-            continue
-        orbit = {x}
-        frontier = [x]
-        while frontier:
-            y = frontier.pop()
-            for s in g.gens:
-                z = s * y * ~s
-                if z not in orbit:
-                    orbit.add(z)
-                    frontier.append(z)
-        seen |= orbit
-        classes.append(tuple(sorted(orbit)))
+    for x in g.elements():
+        if x not in seen:
+            orbit = _conjugates(g, x)
+            seen.update(orbit)
+            classes.append(tuple(sorted(orbit)))
     return classes
 
 
@@ -599,21 +626,11 @@ def normal_closure(g: PermGroup, x: Perm) -> PermGroup:
     """Smallest normal subgroup of g containing x."""
     if x not in g:
         raise ValueError("element outside the group")
-    orbit = {x}
-    order = [x]
-    frontier = [x]
-    while frontier:
-        y = frontier.pop(0)
-        for s in g.gens:
-            z = s * y * ~s
-            if z not in orbit:
-                orbit.add(z)
-                order.append(z)
-                frontier.append(z)
-    closed = closure_elements(order, g.degree, maxsize=g.enum_budget)
+    orbit = _conjugates(g, x)
+    closed = closure_elements(orbit, g.degree, maxsize=g.enum_budget)
     if closed is None:
         raise EnumerationBudgetError("normal closure exceeded element budget")
-    return PermGroup.from_elements(g.degree, tuple(order), closed)
+    return PermGroup.from_elements(g.degree, orbit, closed)
 
 
 @dataclass(frozen=True)
@@ -728,72 +745,38 @@ def _generating_sequence(g: PermGroup) -> list[Perm]:
     return seq
 
 
-def _iso_search(g: PermGroup, h: PermGroup, find_all: bool):
-    """Backtracking generator-image search for isomorphisms g -> h.
+def _iso_search(g: PermGroup, h: PermGroup):
+    """Isomorphisms g -> h, lazily, by generator-image search.
 
     Candidates are pruned by element order and conjugacy class size (both
     preserved by any isomorphism, so pruning is sound for negatives too).
-    Every returned map passes the full table check.
+    Every yielded map passes the full table check.
     """
     if iso_invariant_mismatch(g, h) is not None:
-        return []
+        return
     seq = _generating_sequence(g)
-    h_els = h.elements()
-    class_size_h = {}
-    for cls in conjugacy_classes(h):
-        for x in cls:
-            class_size_h[x] = len(cls)
-    class_size_g = {}
-    for cls in conjugacy_classes(g):
-        for x in cls:
-            class_size_g[x] = len(cls)
-    cand = []
-    for x in seq:
-        cand.append(
-            [
-                y
-                for y in h_els
-                if y.order() == x.order() and class_size_h[y] == class_size_g[x]
-            ]
-        )
-    results = []
+    size_h = {y: len(c) for c in conjugacy_classes(h) for y in c}
+    size_g = {x: len(c) for c in conjugacy_classes(g) for x in c}
+    pools = [[y for y in _order_pool(x, h, exact=True) if size_h[y] == size_g[x]]
+             for x in seq]
     domain = PermGroup.from_elements(g.degree, seq, g.elements())
-
-    def attempt(images) -> Hom | None:
-        try:
-            hom = Hom(domain, h, images)
-            hom.verify()
-        except ValueError:
-            return None
-        if not hom.is_injective():
-            return None
-        if len(hom.mapping) != h.order():
-            return None
-        if not verify_hom_table(hom):
-            return None
-        return hom
-
-    for images in itertools.product(*cand):
-        hom = attempt(images)
-        if hom is not None:
-            if not find_all:
-                return [hom]
-            results.append(hom)
-    return results
+    for hom in _homs(domain, h, pools):
+        if (hom.is_injective() and len(hom.mapping) == h.order()
+                and verify_hom_table(hom)):
+            yield hom
 
 
 def brute_iso(g: PermGroup, h: PermGroup) -> Hom | None:
     """First isomorphism g -> h in deterministic search order, or None."""
-    found = _iso_search(g, h, find_all=False)
-    return found[0] if found else None
+    return next(_iso_search(g, h), None)
 
 
 def automorphisms(g: PermGroup) -> PermGroup:
     """Automorphism group acting on g's element list by position."""
     els = g.elements()
     index = {x: i for i, x in enumerate(els)}
-    homs = _iso_search(g, g, find_all=True)
-    perms = sorted(Perm(tuple(index[hom.mapping[x]] for x in els)) for hom in homs)
+    perms = sorted(
+        Perm(tuple(index[hom.mapping[x]] for x in els)) for hom in _iso_search(g, g))
     if not perms:
         raise AssertionError("identity automorphism missing")
     return PermGroup.from_elements(len(els), perms, perms, name=f"Aut({g.label()})")
@@ -869,31 +852,12 @@ def enumerate_homs(
 ) -> list[Hom]:
     """All homomorphisms f -> g by exhaustive generator-image search.
 
-    Order-divisibility prunes candidates (the image order divides the
-    argument's); for injective search orders must match exactly.  Pruning
-    cannot lose homs, so the listing is complete.
+    Candidates are pruned by element order (see `_order_pool`), which cannot
+    lose homs, so the listing is complete.
     """
-    seq = list(f.gens)
-    if not seq:
-        return [Hom(f, g, [])]
-    g_els = g.elements()
-    cand = []
-    for x in seq:
-        ox = x.order()
-        if injective_only:
-            cand.append([y for y in g_els if y.order() == ox])
-        else:
-            cand.append([y for y in g_els if ox % y.order() == 0])
-    out = []
-    for images in itertools.product(*cand):
-        try:
-            hom = Hom(f, g, images).verify()
-        except ValueError:
-            continue
-        if injective_only and not hom.is_injective():
-            continue
-        out.append(hom)
-    return out
+    pools = [_order_pool(x, g, exact=injective_only) for x in f.gens]
+    return [hom for hom in _homs(f, g, pools)
+            if not injective_only or hom.is_injective()]
 
 
 # ---------------------------------------------------------------------------
@@ -995,6 +959,10 @@ def format_group(g: PermGroup) -> str:
 
 
 def parse_group(text: str) -> PermGroup:
+    """Parse the group text format; `#` comments.
+
+    A degree above `DEFAULT_POINT_BUDGET` is refused before anything is built.
+    """
     degree = None
     gens = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
@@ -1013,6 +981,11 @@ def parse_group(text: str) -> PermGroup:
                 raise ParseError(f"bad degree {parts[2]!r}", lineno)
             if degree < 1:
                 raise ParseError("degree must be >= 1", lineno)
+            if degree > DEFAULT_POINT_BUDGET:
+                raise ParseError(
+                    f"degree {degree} exceeds the point budget {DEFAULT_POINT_BUDGET}",
+                    lineno,
+                )
         elif line.startswith("g:"):
             if degree is None:
                 raise ParseError("generator before problem line", lineno)

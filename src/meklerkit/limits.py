@@ -20,6 +20,7 @@ from dataclasses import dataclass
 
 from .errors import EnumerationBudgetError, PointBudgetError
 from .groups import (
+    DEFAULT_POINT_BUDGET,
     DirectSum,
     Hom,
     Perm,
@@ -32,8 +33,6 @@ from .groups import (
     quotient_group,
     verify_hom_table,
 )
-
-DEFAULT_POINT_BUDGET = 10**5
 
 
 @dataclass(frozen=True)

@@ -30,6 +30,7 @@ from .errors import ParseError
 from .graphs import Graph
 
 TABLE_LIMIT = 6561  # largest order for a dense multiplication table
+MAX_P = 2**31 - 1  # a prime; the array rules form coordinate products < p^2 in int64
 
 
 def is_odd_prime(p: int) -> bool:
@@ -69,8 +70,8 @@ class PcGroup:
     """The graph group of (graph, p); arithmetic is pure coordinate algebra."""
 
     def __init__(self, graph: Graph, p: int):
-        if not is_odd_prime(p):
-            raise ValueError(f"exponent must be an odd prime, got {p}")
+        if p > MAX_P or not is_odd_prime(p):
+            raise ValueError(f"exponent must be an odd prime <= {MAX_P}, got {p}")
         self.graph = graph
         self.p = p
         self.nonedges = tuple(

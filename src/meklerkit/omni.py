@@ -11,13 +11,14 @@ bound, not timeouts.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 
 from .groups import (
     Hom,
     Perm,
     PermGroup,
+    _homs,
+    _order_pool,
     automorphisms,
     closure_elements,
     direct_sum,
@@ -106,29 +107,15 @@ def _extensions_of_psi(h: PermGroup, query: OmniQuery):
 
     h comes from the containment search, so its generator list starts with
     F's generators; those images are forced, and the remaining generators
-    range over order-divisibility candidates.  Candidate pruning cannot
-    create false negatives: images of an order-n element must have order
-    dividing n in any homomorphism.
+    range over order-divisibility candidates, which cannot create false
+    negatives.
     """
-    target = query.target
-    n_fixed = len(query.sub_f.gens)
-    fixed = [query.psi(x) for x in query.sub_f.gens]
-    free_gens = h.gens[n_fixed:]
-    pools = []
-    for x in free_gens:
-        ox = x.order()
-        pools.append([y for y in target.elements() if ox % y.order() == 0])
+    fixed = [[query.psi(x)] for x in query.sub_f.gens]
+    pools = fixed + [_order_pool(x, query.target) for x in h.gens[len(fixed):]]
     f_els = query.sub_f.elements()
-    for choice in itertools.product(*pools):
-        try:
-            hom = Hom(h, target, fixed + list(choice)).verify()
-        except ValueError:
-            continue
-        if not hom.is_surjective():
-            continue
-        if any(hom(x) != query.psi(x) for x in f_els):
-            continue
-        yield hom
+    for hom in _homs(h, query.target, pools):
+        if hom.is_surjective() and all(hom(x) == query.psi(x) for x in f_els):
+            yield hom
 
 
 def omni_check(query: OmniQuery, search_bound: int) -> OmniWitness | None:

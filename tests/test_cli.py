@@ -55,6 +55,14 @@ def test_parse_failures_exit_2(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+def test_iso_over_point_budget_exits_2(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr("meklerkit.groups.DEFAULT_POINT_BUDGET", 4)
+    big = write(tmp_path, "big.txt", "p group 5\n")
+    small = write(tmp_path, "c4.txt", C4_GROUP)
+    assert main(["iso", big, small]) == 2
+    assert "point budget" in capsys.readouterr().err
+
+
 def test_unknown_command_exits_2():
     with pytest.raises(SystemExit) as exc:
         main(["frobnicate"])
@@ -183,13 +191,15 @@ def test_tower_depth_two_over_budget(capsys):
 @pytest.mark.parametrize("command", ["mekler", "center", "recover", "reduce"])
 def test_non_prime_p_exits_2(tmp_path, capsys, command):
     src = write(tmp_path, "c5.txt", C5)
-    argv = [command, src, "--p", "4"]
-    if command == "reduce":
-        argv += ["--out", str(tmp_path / "run")]
-    assert main(argv) == 2
-    err = capsys.readouterr().err
-    assert err.startswith("error:") and "odd prime" in err
-    assert len(err.splitlines()) == 1
+    # the two large values are primes past the int64-safe bound 2^31 - 1
+    for p in ("4", "2147483659", "10000000000000000051"):
+        argv = [command, src, "--p", p]
+        if command == "reduce":
+            argv += ["--out", str(tmp_path / f"run{p}")]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "odd prime" in err
+        assert len(err.splitlines()) == 1
 
 
 def test_reduce_bad_base_fails_before_writing(tmp_path, capsys):

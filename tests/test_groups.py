@@ -519,7 +519,7 @@ def test_catalog_complete_and_pairwise_distinct():
     assert [g.order() for g in cat] == sorted(g.order() for g in cat)
 
 
-def test_format_parse_group_round_trip():
+def test_format_parse_group_round_trip(monkeypatch):
     for g in [symmetric_group(3), quaternion_group(), trivial_group(2)]:
         back = parse_group(format_group(g))
         assert back.degree == g.degree
@@ -531,3 +531,8 @@ def test_format_parse_group_round_trip():
         parse_group("not a group")
     with pytest.raises(ParseError, match="line 2"):
         parse_group("p group 3\ng: 0 0 1")
+    # the degree is budgeted before any permutation is built
+    monkeypatch.setattr("meklerkit.groups.DEFAULT_POINT_BUDGET", 4)
+    with pytest.raises(ParseError, match="point budget"):
+        parse_group("p group 5\n")
+    assert parse_group("p group 4\n").degree == 4

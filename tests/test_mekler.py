@@ -74,7 +74,7 @@ def random_element(rng, pc):
 
 
 def test_p_validation():
-    for bad in (0, 1, 2, 4, 6, 9, 15, -3):
+    for bad in (0, 1, 2, 4, 6, 9, 15, -3, 2147483659):
         with pytest.raises(ValueError):
             build_mekler(path_graph(2), bad)
     build_mekler(path_graph(2), 3)
@@ -271,6 +271,20 @@ def test_coordinate_matrix_and_array_ops():
             assert tuple(ia[0]) == inv.a and tuple(ib[0]) == inv.b
             cb = pc.commutator_arrays(ua, va)
             assert tuple(cb[0]) == pc.commutator(u, v).b
+
+
+def test_array_rules_exact_at_largest_p():
+    # coordinates p - 1 give products (p - 1)^2 just under 2^62
+    pc = build_mekler(cycle_graph(5), 2**31 - 1)
+    top = pc.p - 1
+    u = pc.element([top] * pc.n, [top] * pc.num_pairs)
+    ua, ub = np.array([u.a], dtype=np.int64), np.array([u.b], dtype=np.int64)
+    pa, pb = pc.multiply_arrays(ua, ub, ua, ub)
+    prod = pc.multiply(u, u)
+    assert tuple(pa[0]) == prod.a and tuple(pb[0]) == prod.b
+    ia, ib = pc.inverse_arrays(ua, ub)
+    inv = pc.inverse(u)
+    assert tuple(ia[0]) == inv.a and tuple(ib[0]) == inv.b
 
 
 def test_multiplication_table_properties():
