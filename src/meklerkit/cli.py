@@ -28,6 +28,7 @@ from .graphs import (
     parse_graph,
 )
 from .groups import (
+    CATALOG_MAX_ORDER,
     DEFAULT_ENUM_BUDGET,
     alternating_group,
     brute_iso,
@@ -69,20 +70,44 @@ def _load_graph(path: str):
     return parse_graph(_read_text(path))
 
 
-def _load_group(path: str, enum_budget: int):
-    g = parse_group(_read_text(path))
+def _budgeted(g, enum_budget: int):
     g.enum_budget = enum_budget
     return g
 
 
-def _load_base(args):
-    """The tower base A: the `--a` group file, or C2."""
-    return _load_group(args.a, args.budget_enum) if args.a else cyclic_group(2)
+def _load_group(path: str, enum_budget: int):
+    return _budgeted(parse_group(_read_text(path)), enum_budget)
+
+
+def _load_base(path: str | None):
+    """The tower base A: a group file, or C2."""
+    return parse_group(_read_text(path)) if path else cyclic_group(2)
 
 
 def _check_p(p: int) -> None:
     if p > MAX_P or not is_odd_prime(p):
         raise ParseError(f"--p must be an odd prime <= {MAX_P}, got {p}")
+
+
+def _load_graph_group(args):
+    """The graph file and its graph group at `--p`."""
+    _check_p(args.p)
+    g = _load_graph(args.graph)
+    return g, build_mekler(g, args.p)
+
+
+def _check_depth(flag: str, depth: int) -> None:
+    if depth < 0:
+        raise ParseError(f"{flag} must be >= 0, got {depth}")
+
+
+def _check_max_g(max_g: int) -> None:
+    if max_g > CATALOG_MAX_ORDER:
+        raise ParseError(f"MAX_G must be <= {CATALOG_MAX_ORDER}, got {max_g}")
+
+
+def _header(kind: str, value: str) -> list:
+    return [("tool", "meklerkit"), ("version", __version__), (kind, value)]
 
 
 def _emit(text: str, out: str | None) -> None:
@@ -114,6 +139,7 @@ def cmd_nice(args) -> int:
 
 
 def cmd_extend(args) -> int:
+    _check_depth("--depth-k", args.depth_k)
     g = _load_graph(args.graph)
     result, inclusion = extend_tower(g, args.depth_k, args.budget_vertices)
     text = format_graph(result)
@@ -127,11 +153,7 @@ def cmd_extend(args) -> int:
 
 def _mekler_sections(pc: PcGroup) -> list:
     return [
-        [
-            ("tool", "meklerkit"),
-            ("version", __version__),
-            ("object", "graph group"),
-        ],
+        _header("object", "graph group"),
         [
             ("graph_key", pc.graph.key()),
             ("vertices", str(pc.n)),
@@ -147,17 +169,13 @@ def _mekler_sections(pc: PcGroup) -> list:
 
 
 def cmd_mekler(args) -> int:
-    _check_p(args.p)
-    g = _load_graph(args.graph)
-    pc = build_mekler(g, args.p)
+    _, pc = _load_graph_group(args)
     _emit(format_manifest(_mekler_sections(pc)), args.out)
     return 0
 
 
 def cmd_center(args) -> int:
-    _check_p(args.p)
-    g = _load_graph(args.graph)
-    pc = build_mekler(g, args.p)
+    _, pc = _load_graph_group(args)
     report = pc.center()
     print(f"group_order: {pc.order_expression()}")
     print(
@@ -169,9 +187,7 @@ def cmd_center(args) -> int:
 
 
 def cmd_recover(args) -> int:
-    _check_p(args.p)
-    g = _load_graph(args.graph)
-    pc = build_mekler(g, args.p)
+    g, pc = _load_graph_group(args)
     back = recover_graph(pc)
     sys.stdout.write(format_graph(back))
     ok = back.edges == g.edges and back.n == g.n
@@ -215,43 +231,49 @@ def cmd_lift(args) -> int:
     return 0
 
 
-def cmd_omni(args) -> int:
-    budget = args.budget_enum
-    if args.dstage:
-        base = _load_group(args.dstage, budget)
-        tower = make_cayley_tower(base, alternating_group(5), 0)
-        sys_d = build_D(tower)
-        gamma = sys_d.stages[0]
-        gamma.enum_budget = budget
-        h_block = kernel_at_stage(sys_d, 0)
-    else:
-        gamma = _load_group(args.group, budget)
-        h_block = None
-    report = omni_audit(
-        gamma,
-        args.bound[0],
-        args.bound[1],
-        search_bound=args.h_bound,
-        h_block=h_block,
+def _build_tower(base, depth: int, point_budget: int, enum_budget: int):
+    """The tower A (+) H_i over H_0 = Alt(5) and its direct system D.
+
+    `enum_budget` binds A and H_0, and through `direct_sum` every stage.
+    """
+    h0 = _budgeted(alternating_group(5), enum_budget)
+    tower = make_cayley_tower(
+        _budgeted(base, enum_budget), h0, depth, point_budget=point_budget
     )
+    return tower, build_D(tower)
+
+
+def _stage0_audit(sys_d, args):
+    """The omni audit of stage 0, flagging rows inside its {e} x H_0 block."""
+    kernel = kernel_at_stage(sys_d, 0)
+    return omni_audit(
+        sys_d.stages[0], *args.bound, search_bound=args.h_bound, h_block=kernel
+    )
+
+
+def cmd_omni(args) -> int:
+    _check_max_g(args.bound[1])
+    if args.dstage:
+        base = _load_base(args.dstage)
+        _, sys_d = _build_tower(base, 0, DEFAULT_POINT_BUDGET, args.budget_enum)
+        report = _stage0_audit(sys_d, args)
+    else:
+        gamma = _load_group(args.group, args.budget_enum)
+        report = omni_audit(gamma, *args.bound, search_bound=args.h_bound)
     _emit(report.format_text(), args.out)
     return 0 if not report.unwitnessed else 1
 
 
-def _tower_sections(base, tower, sys_d, absorption_sample: int) -> tuple[list, bool]:
+def _tower_sections(tower, sys_d, absorption_sample: int) -> tuple[list, bool]:
+    """The tower manifest (header and checks) and whether every check held."""
     g0 = sys_d.stages[0]
-    checks_ok = True
-    pi_ok = True
-    for x in g0.elements():
-        e0 = sys_d.element(0, x)
-        if tower.depth >= 1:
-            if project_pi(sys_d, sys_d.push(e0, 1)) != project_pi(sys_d, e0):
-                pi_ok = False
-                break
+    stage0 = [sys_d.element(0, x) for x in g0.elements()]
+    pi_ok = tower.depth == 0 or all(
+        project_pi(sys_d, sys_d.push(e0, 1)) == project_pi(sys_d, e0) for e0 in stage0
+    )
     kernel = kernel_at_stage(sys_d, 0)
     member_ok = all(
-        (project_pi(sys_d, sys_d.element(0, x)).is_identity()) == (x in kernel)
-        for x in g0.elements()
+        project_pi(sys_d, e0).is_identity() == (e0.value in kernel) for e0 in stage0
     )
     quo = quotient_is_A(sys_d, 0)
     absorb_all = True
@@ -267,17 +289,16 @@ def _tower_sections(base, tower, sys_d, absorption_sample: int) -> tuple[list, b
             absorb_all = False
         if absorption_sample and checked >= absorption_sample:
             break
-    boundary = None
-    for s in base.elements():
-        if not s.is_identity():
-            boundary = check_normal_absorption(
-                sys_d, 0, tower.sums[0].inject_a(s)
-            )
-            break
+    a_nontrivial = [s for s in tower.base.elements() if not s.is_identity()]
+    base_note = "-"
+    if a_nontrivial:
+        inject_a = tower.sums[0].inject_a
+        rep = check_normal_absorption(sys_d, 0, inject_a(a_nontrivial[0]))
+        base_note = rep.boundary_note or "absorbed"
     checks_ok = pi_ok and member_ok and quo.verified and absorb_all
     section = [
-        ("base", base.label()),
-        ("base_order", str(base.order())),
+        ("base", tower.base.label()),
+        ("base_order", str(tower.base.order())),
         ("h0", tower.h_stages[0].label()),
         ("depth", str(tower.depth)),
         ("stage0_order", str(g0.order())),
@@ -291,27 +312,17 @@ def _tower_sections(base, tower, sys_d, absorption_sample: int) -> tuple[list, b
         ("quotient_is_base", "yes" if quo.verified else "NO"),
         ("absorption_checked", str(checked)),
         ("absorption_all_contain_kernel", "yes" if absorb_all else "NO"),
-        (
-            "base_coordinate_note",
-            boundary.boundary_note or "absorbed"
-            if boundary is not None
-            else "-",
-        ),
+        ("base_coordinate_note", base_note),
     ]
-    return section, checks_ok
+    return [_header("object", "tower"), section], checks_ok
 
 
 def cmd_tower(args) -> int:
-    base = _load_base(args)
-    tower = make_cayley_tower(
-        base, alternating_group(5), args.depth_d, point_budget=args.budget_points
+    _check_depth("--depth-d", args.depth_d)
+    tower, sys_d = _build_tower(
+        _load_base(args.a), args.depth_d, args.budget_points, args.budget_enum
     )
-    sys_d = build_D(tower)
-    section, ok = _tower_sections(base, tower, sys_d, args.absorption_sample)
-    sections = [
-        [("tool", "meklerkit"), ("version", __version__), ("object", "tower")],
-        section,
-    ]
+    sections, ok = _tower_sections(tower, sys_d, args.absorption_sample)
     sys.stdout.write(format_manifest(sections))
     return 0 if ok else 1
 
@@ -329,11 +340,7 @@ def cmd_reduce(args) -> int:
     outdir.mkdir(parents=True, exist_ok=True)
     artifacts: dict[str, str] = {}
     sections: list = [
-        [
-            _kv("tool", "meklerkit"),
-            _kv("version", __version__),
-            _kv("command", "reduce"),
-        ],
+        _header("command", "reduce"),
         [
             _kv("p", args.p),
             _kv("depth_k", args.depth_k),
@@ -369,8 +376,11 @@ def cmd_reduce(args) -> int:
     try:
         # every input is parsed before anything is written
         _check_p(args.p)
+        _check_depth("--depth-k", args.depth_k)
+        _check_depth("--depth-d", args.depth_d)
+        _check_max_g(args.bound[1])
         g = _load_graph(args.graph)
-        base = _load_base(args)
+        base = _load_base(args.a)
         report = is_nice(g)
         input_section = [
             _kv("vertices", g.n),
@@ -472,37 +482,15 @@ def cmd_reduce(args) -> int:
         )
 
         # stage 3: the tower over the configured small base
-        tower = make_cayley_tower(
-            base,
-            alternating_group(5),
-            args.depth_d,
-            point_budget=args.budget_points,
+        tower, sys_d = _build_tower(
+            base, args.depth_d, args.budget_points, args.budget_enum
         )
-        sys_d = build_D(tower)
-        tower_section, tower_ok = _tower_sections(base, tower, sys_d, 0)
+        tower_sections, tower_ok = _tower_sections(tower, sys_d, 0)
         verdicts.append(tower_ok)
-        write_artifact(
-            "tower.txt",
-            format_manifest(
-                [
-                    [
-                        _kv("tool", "meklerkit"),
-                        _kv("version", __version__),
-                        _kv("object", "tower"),
-                    ],
-                    tower_section,
-                ]
-            ),
-        )
-        sections.append(tower_section)
+        write_artifact("tower.txt", format_manifest(tower_sections))
+        sections.append(tower_sections[-1])
 
-        audit_report = omni_audit(
-            sys_d.stages[0],
-            args.bound[0],
-            args.bound[1],
-            search_bound=args.h_bound,
-            h_block=kernel_at_stage(sys_d, 0),
-        )
+        audit_report = _stage0_audit(sys_d, args)
         write_artifact("omni_report.txt", audit_report.format_text())
         sections.append(
             [

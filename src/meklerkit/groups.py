@@ -77,11 +77,12 @@ class Perm:
 
     def order(self) -> int:
         result = 1
-        for c in self.cycles(trivial=False):
+        for c in self.cycles():
             result = result * len(c) // math.gcd(result, len(c))
         return result
 
-    def cycles(self, trivial: bool = False) -> list[tuple[int, ...]]:
+    def cycles(self) -> list[tuple[int, ...]]:
+        """The cycles of length at least 2."""
         seen = [False] * len(self.images)
         out = []
         for start in range(len(self.images)):
@@ -94,12 +95,12 @@ class Perm:
                 cyc.append(x)
                 seen[x] = True
                 x = self.images[x]
-            if trivial or len(cyc) > 1:
+            if len(cyc) > 1:
                 out.append(tuple(cyc))
         return out
 
     def is_even(self) -> bool:
-        flips = sum(len(c) - 1 for c in self.cycles(trivial=False))
+        flips = sum(len(c) - 1 for c in self.cycles())
         return flips % 2 == 0
 
     def extend(self, degree: int) -> "Perm":
@@ -121,7 +122,7 @@ class Perm:
         return Perm(images)
 
     def __repr__(self):
-        cycs = self.cycles(trivial=False)
+        cycs = self.cycles()
         if not cycs:
             return "Perm(id)"
         return "Perm(" + "".join("(" + " ".join(map(str, c)) + ")" for c in cycs) + ")"
@@ -380,6 +381,7 @@ def direct_sum(a: PermGroup, b: PermGroup) -> DirectSum:
     The maps are verified on use (building a hom's element table is itself
     the complete verification); for factors past the element budget they
     stay symbolic and any forced evaluation raises the budget error.
+    The sum's element budget is the smaller of the factors' budgets.
     """
     da, db = a.degree, b.degree
     left, right = direct_sum_gens(a, b)
@@ -394,12 +396,12 @@ def direct_sum(a: PermGroup, b: PermGroup) -> DirectSum:
     b_hook = b.contains_hook
 
     def block_hook(p: Perm) -> bool:
-        pa = p.images[:da]
-        pb = tuple(x - da for x in p.images[da:])
-        try:
-            qa, qb = Perm(pa), Perm(pb)
-        except ValueError:
+        images = p.images
+        if any(x >= da for x in images[:da]):
             return False  # mixes the two blocks
+        # p keeps both blocks, so each half is a permutation of its block
+        qa = Perm._make(images[:da])
+        qb = Perm._make(tuple(x - da for x in images[da:]))
         in_a = a_hook(qa) if a_hook else (qa in a)
         in_b = b_hook(qb) if b_hook else (qb in b)
         return in_a and in_b
@@ -408,9 +410,9 @@ def direct_sum(a: PermGroup, b: PermGroup) -> DirectSum:
         hook = block_hook
 
     name = f"{a.label()}(+){b.label()}"
-    group = PermGroup(
-        da + db, left + right, name=name, known_order=known, contains_hook=hook
-    )
+    budget = min(a.enum_budget, b.enum_budget)
+    group = PermGroup(da + db, left + right, name=name, known_order=known,
+                      contains_hook=hook, enum_budget=budget)
     ia = Hom(a, group, left, name="inject_a")
     ib = Hom(b, group, right, name="inject_b")
     pa = Hom(group, a, list(a.gens) + [a.identity()] * len(right), name="project_a")
@@ -523,7 +525,10 @@ def compose_homs(outer: Hom, inner: Hom) -> Hom:
     return Hom(inner.domain, outer.codomain, images)
 
 
-def verify_hom_table(h: Hom, pair_limit: int = 1024) -> bool:
+_PAIR_TABLE_LIMIT = 1024  # largest domain given the all-pairs check
+
+
+def verify_hom_table(h: Hom) -> bool:
     """Redundant all-pairs table check: f(xy) == f(x)f(y) for all x, y.
 
     The lazy table build already proves the hom property; this is the
@@ -533,7 +538,7 @@ def verify_hom_table(h: Hom, pair_limit: int = 1024) -> bool:
     """
     m = h.mapping
     els = h.domain.elements()
-    if len(els) <= pair_limit:
+    if len(els) <= _PAIR_TABLE_LIMIT:
         for x in els:
             mx = m[x]
             for y in els:

@@ -23,6 +23,7 @@ from .groups import (
     closure_elements,
     direct_sum,
     enumerate_homs,
+    small_groups_catalog,
     subgroups,
     subgroups_containing,
     verify_hom_table,
@@ -219,7 +220,6 @@ def omni_audit(
     max_f: int,
     max_g: int,
     search_bound: int | None = None,
-    catalog=None,
     h_block: frozenset | None = None,
 ) -> OmniAuditReport:
     """Audit every bounded extension-property instance inside gamma.
@@ -233,14 +233,9 @@ def omni_audit(
     inside that block, G embeddable into the block group, and no witness
     are flagged, since the limit argument promises a witness one stage up.
     """
-    from .groups import small_groups_catalog  # local: avoids cycle in docs builds
-
     if search_bound is None:
         search_bound = gamma.order()
-    if catalog is None:
-        catalog = small_groups_catalog(max_g)
-    else:
-        catalog = [g for g in catalog if g.order() <= max_g]
+    catalog = small_groups_catalog(max_g)
     gamma_els = gamma.elements()
     gamma_index = {x: i for i, x in enumerate(gamma_els)}
     auts_cache = {}

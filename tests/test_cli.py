@@ -188,6 +188,73 @@ def test_tower_depth_two_over_budget(capsys):
     assert "budget error:" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["extend", "GRAPH", "--depth-k", "-1"],
+        ["tower", "--depth-d", "-1"],
+        ["omni", "C2", "--bound", "2", "12"],
+        ["omni", "--dstage", "C2", "--bound", "2", "12"],
+        ["reduce", "GRAPH", "--p", "3", "--depth-d", "-1"],
+        ["reduce", "GRAPH", "--p", "3", "--depth-k", "-1"],
+        ["reduce", "GRAPH", "--p", "3", "--bound", "2", "12"],
+    ],
+    ids=["extend-depth-k", "tower-depth-d", "omni-max-g", "omni-dstage-max-g",
+         "reduce-depth-d", "reduce-depth-k", "reduce-max-g"],
+)
+def test_bad_depth_or_bound_exits_2_before_any_work(tmp_path, capsys, argv):
+    files = {
+        "GRAPH": write(tmp_path, "c5.txt", C5),
+        "C2": write(tmp_path, "c2.txt", C2_GROUP),
+    }
+    argv = [files.get(a, a) for a in argv]
+    outdir = tmp_path / "run"
+    if argv[0] == "reduce":
+        argv += ["--out", str(outdir)]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error:")
+    assert len(captured.err.splitlines()) == 1
+    if argv[0] == "reduce":
+        assert sorted(p.name for p in outdir.iterdir()) == ["manifest.txt"]
+        info = flat((outdir / "manifest.txt").read_text())
+        assert info["status"] == "malformed-input"
+        assert info["artifacts"] == "none"
+    else:
+        assert captured.out == ""
+
+
+def test_budget_enum_binds_every_tower_stage(tmp_path, capsys):
+    grp = write(tmp_path, "c2.txt", C2_GROUP)
+    src = write(tmp_path, "c5.txt", C5)
+    outdir = tmp_path / "run"
+    for argv in (
+        ["tower", "--budget-enum", "10"],
+        ["omni", "--dstage", grp, "--bound", "2", "6", "--budget-enum", "10"],
+    ):
+        assert main(argv) == 3
+        assert capsys.readouterr().err.startswith("budget error:")
+    argv = ["reduce", src, "--p", "3", "--budget-enum", "10", "--out", str(outdir)]
+    assert main(argv) == 3
+    capsys.readouterr()
+    info = flat((outdir / "manifest.txt").read_text())
+    assert info["status"] == "incomplete"
+    assert info["error"].startswith("budget: ")
+
+
+def test_omni_dstage_is_the_reduce_stage0_audit(tmp_path, capsys):
+    grp = write(tmp_path, "c2.txt", C2_GROUP)
+    src = write(tmp_path, "c5.txt", C5)
+    outdir = tmp_path / "run"
+    assert main(["reduce", src, "--p", "3", "--a", grp, "--out", str(outdir)]) == 0
+    capsys.readouterr()
+    code = main(["omni", "--dstage", grp, "--bound", "2", "6", "--h-bound", "12"])
+    assert code == 1  # some rows stay unwitnessed within |H| <= 12
+    out = capsys.readouterr().out
+    assert out == (outdir / "omni_report.txt").read_text()
+    assert hashlib.sha256(out.encode()).hexdigest().startswith("462af7f00403")
+
+
 @pytest.mark.parametrize("command", ["mekler", "center", "recover", "reduce"])
 def test_non_prime_p_exits_2(tmp_path, capsys, command):
     src = write(tmp_path, "c5.txt", C5)
@@ -297,3 +364,7 @@ def test_reduce_artifacts_and_determinism(tmp_path, capsys):
         key = "artifact_" + name.replace(".", "_")
         digest = hashlib.sha256((runs[0] / name).read_bytes()).hexdigest()
         assert info[key] == digest
+
+    # `tower` prints the same manifest that reduce writes as tower.txt
+    assert main(["tower"]) == 0
+    assert capsys.readouterr().out == (runs[0] / "tower.txt").read_text()

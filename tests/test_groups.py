@@ -187,7 +187,14 @@ def test_direct_sum_structure():
     huge = direct_sum(c2, alternating_group(9))
     gen = huge.inject_b(alternating_group(9).gens[0])
     assert gen in huge.group
+    # an odd B-half keeps the blocks but fails the Alt(9) hook
+    odd_b = Perm((0, 1, 3, 2) + tuple(range(4, 11)))
+    assert odd_b not in huge.group
     assert huge.group.order() == 2 * 181440
+    # the sum takes the smaller of the factors' element budgets
+    s3.enum_budget = 10
+    with pytest.raises(EnumerationBudgetError):
+        direct_sum(c2, s3).group.elements()
 
 
 def test_hom_verify_and_kernel():
