@@ -96,9 +96,9 @@ def _load_graph_group(args):
     return g, build_mekler(g, args.p)
 
 
-def _check_depth(flag: str, depth: int) -> None:
-    if depth < 0:
-        raise ParseError(f"{flag} must be >= 0, got {depth}")
+def _check_at_least(flag: str, value: int, least: int) -> None:
+    if value < least:
+        raise ParseError(f"{flag} must be >= {least}, got {value}")
 
 
 def _check_max_g(max_g: int) -> None:
@@ -139,7 +139,7 @@ def cmd_nice(args) -> int:
 
 
 def cmd_extend(args) -> int:
-    _check_depth("--depth-k", args.depth_k)
+    _check_at_least("--depth-k", args.depth_k, 0)
     g = _load_graph(args.graph)
     result, inclusion = extend_tower(g, args.depth_k, args.budget_vertices)
     text = format_graph(result)
@@ -253,6 +253,8 @@ def _stage0_audit(sys_d, args):
 
 def cmd_omni(args) -> int:
     _check_max_g(args.bound[1])
+    if args.h_bound is not None:
+        _check_at_least("--h-bound", args.h_bound, 1)
     if args.dstage:
         base = _load_base(args.dstage)
         _, sys_d = _build_tower(base, 0, DEFAULT_POINT_BUDGET, args.budget_enum)
@@ -318,7 +320,8 @@ def _tower_sections(tower, sys_d, absorption_sample: int) -> tuple[list, bool]:
 
 
 def cmd_tower(args) -> int:
-    _check_depth("--depth-d", args.depth_d)
+    _check_at_least("--depth-d", args.depth_d, 0)
+    _check_at_least("--absorption-sample", args.absorption_sample, 0)
     tower, sys_d = _build_tower(
         _load_base(args.a), args.depth_d, args.budget_points, args.budget_enum
     )
@@ -376,9 +379,10 @@ def cmd_reduce(args) -> int:
     try:
         # every input is parsed before anything is written
         _check_p(args.p)
-        _check_depth("--depth-k", args.depth_k)
-        _check_depth("--depth-d", args.depth_d)
+        _check_at_least("--depth-k", args.depth_k, 0)
+        _check_at_least("--depth-d", args.depth_d, 0)
         _check_max_g(args.bound[1])
+        _check_at_least("--h-bound", args.h_bound, 1)
         g = _load_graph(args.graph)
         base = _load_base(args.a)
         report = is_nice(g)
@@ -519,7 +523,7 @@ def cmd_reduce(args) -> int:
     except BudgetError as exc:
         sections.append([_kv("error", f"budget: {exc}")])
         finish("incomplete", 3)
-        return 3
+        raise  # main reports it on stderr and exits 3
     ok = all(verdicts)
     return finish("complete" if ok else "verification-failure", 0 if ok else 1)
 

@@ -77,14 +77,8 @@ class Graph:
     def neighbors(self, i: int) -> frozenset:
         return self._nbrs[i]
 
-    def degree(self, i: int) -> int:
-        return len(self._nbrs[i])
-
     def edge_count(self) -> int:
         return len(self.edges)
-
-    def sorted_edges(self) -> list[tuple[int, int]]:
-        return sorted(self.edges)
 
     def key(self) -> str:
         """Short deterministic content key over labels and edges."""
@@ -111,10 +105,8 @@ class Graph:
         return f"Graph(n={self.n}, edges={sorted(self.edges)})"
 
     @classmethod
-    def from_edges(cls, n: int, edges, labels=None) -> "Graph":
-        if labels is None:
-            labels = range(n)
-        return cls(labels, edges)
+    def from_edges(cls, n: int, edges) -> "Graph":
+        return cls(range(n), edges)
 
 
 def empty_graph(n: int) -> Graph:
@@ -277,23 +269,30 @@ def extend_tower(
     return cur, tuple(range(g.n))
 
 
+def _neighbour_masks(g: Graph, vertices) -> dict[int, int]:
+    """Bit z of the mask of x is set exactly when z ~ x."""
+    return {x: sum(1 << z for z in g.neighbors(x)) for x in vertices}
+
+
+def _witnesses(hit: int, nbr, a, b) -> int:
+    """The vertices of `hit` adjacent to all of A and none of B, outside A and B."""
+    for x in a:
+        hit &= nbr[x]  # graphs have no loops, so this also drops x
+    for y in b:
+        hit &= ~(nbr[y] | 1 << y)
+    return hit
+
+
 def check_extension_property(g: Graph, a_set, b_set):
     """First vertex adjacent to all of A, none of B, outside A and B; or None."""
-    a = sorted(set(a_set))
-    b = sorted(set(b_set))
-    if set(a) & set(b):
+    a, b = set(a_set), set(b_set)
+    if a & b:
         raise ValueError("A and B must be disjoint")
-    for v in itertools.chain(a, b):
+    for v in sorted(a | b):
         if not (0 <= v < g.n):
             raise ValueError(f"vertex {v} out of range")
-    banned = set(a) | set(b)
-    for z in range(g.n):
-        if z in banned:
-            continue
-        nz = g.neighbors(z)
-        if all(x in nz for x in a) and not any(y in nz for y in b):
-            return z
-    return None
+    hit = _witnesses((1 << g.n) - 1, _neighbour_masks(g, a | b), a, b)
+    return (hit & -hit).bit_length() - 1 if hit else None
 
 
 @dataclass(frozen=True)
@@ -319,15 +318,20 @@ def audit_extension_property(g: Graph, m: int, universe=None) -> ExtensionAudit:
         universe = tuple(range(g.n))
     else:
         universe = tuple(sorted(set(universe)))
+        for v in universe:
+            if not (0 <= v < g.n):
+                raise ValueError(f"vertex {v} out of range")
+    nbr = _neighbour_masks(g, universe)
     failures = []
     pair_count = 0
     for asize in range(min(m, len(universe)) + 1):
         for a in itertools.combinations(universe, asize):
+            common = _witnesses((1 << g.n) - 1, nbr, a, ())  # once per A
             rest = [v for v in universe if v not in a]
             for bsize in range(min(m, len(rest)) + 1):
                 for b in itertools.combinations(rest, bsize):
                     pair_count += 1
-                    if check_extension_property(g, a, b) is None:
+                    if not _witnesses(common, nbr, (), b):
                         failures.append((a, b))
     return ExtensionAudit(m, universe, pair_count, tuple(failures))
 

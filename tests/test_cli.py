@@ -198,9 +198,14 @@ def test_tower_depth_two_over_budget(capsys):
         ["reduce", "GRAPH", "--p", "3", "--depth-d", "-1"],
         ["reduce", "GRAPH", "--p", "3", "--depth-k", "-1"],
         ["reduce", "GRAPH", "--p", "3", "--bound", "2", "12"],
+        ["omni", "C2", "--bound", "2", "2", "--h-bound", "-1"],
+        ["omni", "--dstage", "C2", "--bound", "2", "2", "--h-bound", "0"],
+        ["reduce", "GRAPH", "--p", "3", "--h-bound", "0"],
+        ["tower", "--absorption-sample", "-3"],
     ],
     ids=["extend-depth-k", "tower-depth-d", "omni-max-g", "omni-dstage-max-g",
-         "reduce-depth-d", "reduce-depth-k", "reduce-max-g"],
+         "reduce-depth-d", "reduce-depth-k", "reduce-max-g", "omni-h-bound",
+         "omni-dstage-h-bound", "reduce-h-bound", "tower-absorption-sample"],
 )
 def test_bad_depth_or_bound_exits_2_before_any_work(tmp_path, capsys, argv):
     files = {
@@ -236,8 +241,11 @@ def test_budget_enum_binds_every_tower_stage(tmp_path, capsys):
         assert capsys.readouterr().err.startswith("budget error:")
     argv = ["reduce", src, "--p", "3", "--budget-enum", "10", "--out", str(outdir)]
     assert main(argv) == 3
-    capsys.readouterr()
-    info = flat((outdir / "manifest.txt").read_text())
+    captured = capsys.readouterr()
+    assert captured.err.startswith("budget error:")
+    assert len(captured.err.splitlines()) == 1
+    assert captured.out == (outdir / "manifest.txt").read_text()
+    info = flat(captured.out)
     assert info["status"] == "incomplete"
     assert info["error"].startswith("budget: ")
 

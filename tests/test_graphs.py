@@ -10,6 +10,8 @@ import itertools
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import meklerkit.graphs
 from conftest import all_graphs, random_graph
@@ -196,6 +198,68 @@ def test_extension_audit():
     bad = audit_extension_property(complete_graph(2), m=1)
     assert not bad.ok
     assert ((0,), (1,)) in bad.failures or ((1,), (0,)) in bad.failures
+
+
+def oracle_audit(g: Graph, m: int, universe):
+    """Every pair in the audit's order, with the witnesses of a literal vertex scan."""
+    for asize in range(min(m, len(universe)) + 1):
+        for a in itertools.combinations(universe, asize):
+            rest = [v for v in universe if v not in a]
+            for bsize in range(min(m, len(rest)) + 1):
+                for b in itertools.combinations(rest, bsize):
+                    found = [
+                        z for z in range(g.n)
+                        if z not in a and z not in b
+                        and all(g.adjacent(z, x) for x in a)
+                        and not any(g.adjacent(z, y) for y in b)
+                    ]
+                    yield a, b, found
+
+
+@st.composite
+def audit_cases(draw):
+    n = draw(st.integers(0, 8))
+    pairs = list(itertools.combinations(range(n), 2))
+    edges = draw(st.lists(st.sampled_from(pairs))) if pairs else []
+    g = Graph.from_edges(n, edges)
+    universe = draw((st.none() | st.lists(st.integers(0, n - 1))) if n else st.none())
+    return g, draw(st.integers(0, 3)), universe
+
+
+@settings(deadline=None)
+@given(audit_cases())
+def test_extension_audit_matches_vertex_scan(case):
+    g, m, universe = case
+    audit = audit_extension_property(g, m, universe=universe)
+    expect = sorted(set(range(g.n) if universe is None else universe))
+    assert audit.universe == tuple(expect)
+    scan = list(oracle_audit(g, m, expect))
+    assert audit.pair_count == len(scan)
+    assert audit.failures == tuple((a, b) for a, b, found in scan if not found)
+    for a, b, found in scan:
+        assert check_extension_property(g, a, b) == (found[0] if found else None)
+
+
+def test_extension_audit_full_size_extend_c5():
+    audit = audit_extension_property(extend(cycle_graph(5)), m=2)
+    assert audit.pair_count == 445_629
+    assert len(audit.failures) == 306_178
+
+
+@pytest.mark.parametrize("m", [0, 1, 2])
+@pytest.mark.parametrize("universe", [[99], [-1], [0, 5], [-3, 2]])
+def test_extension_audit_rejects_universe_out_of_range(m, universe):
+    with pytest.raises(ValueError, match="out of range"):
+        audit_extension_property(cycle_graph(5), m, universe=universe)
+
+
+def test_check_extension_property_rejects_bad_pairs():
+    g = cycle_graph(5)
+    with pytest.raises(ValueError, match="disjoint"):
+        check_extension_property(g, {0, 1}, {1})
+    for a, b in (({5}, ()), ((), {-1})):
+        with pytest.raises(ValueError, match="out of range"):
+            check_extension_property(g, a, b)
 
 
 def graph_automorphisms(g: Graph):
