@@ -314,6 +314,8 @@ def audit_extension_property(g: Graph, m: int, universe=None) -> ExtensionAudit:
     witnesses may be any vertex of g.  Failures are reported, never assumed:
     an empty failure list is the only notion of success.
     """
+    if m < 0:
+        raise ValueError(f"size bound must be >= 0, got {m}")
     if universe is None:
         universe = tuple(range(g.n))
     else:

@@ -16,6 +16,7 @@ import itertools
 import math
 from collections import Counter
 from dataclasses import dataclass
+from operator import itemgetter
 
 from .errors import EnumerationBudgetError, ParseError
 
@@ -52,10 +53,12 @@ class Perm:
         return self.images[i]
 
     def __mul__(self, other: "Perm") -> "Perm":
-        if other.degree != self.degree:
+        im = other.images
+        if len(im) != len(self.images):
             raise ValueError("degree mismatch")
-        im = self.images
-        return Perm._make(tuple(im[x] for x in other.images))
+        if len(im) < 2:  # other is the identity; itemgetter needs 2+ indices for a tuple
+            return self
+        return Perm._make(itemgetter(*im)(self.images))
 
     def __invert__(self) -> "Perm":
         inv = [0] * len(self.images)
@@ -301,10 +304,20 @@ def symmetric_group(n: int) -> PermGroup:
 
 
 def alternating_group(n: int) -> PermGroup:
-    """Alt(n) via consecutive 3-cycles; order and membership never enumerate."""
+    """Alt(n); order and membership never enumerate.
+
+    For n > 5 the generators are (0 1 2) with the n-cycle (n odd) or the
+    (n-1)-cycle on 1..n-1 (n even), so a tower stage carries two of them.
+    Up to n = 5 they stay the consecutive 3-cycles: stage 0's element order,
+    and with it every report, follows Alt(5)'s generators.
+    """
     if n < 3:
         return PermGroup(max(n, 1), [], name=f"Alt({n})", known_order=1)
-    gens = [Perm.from_cycles(n, (i, i + 1, i + 2)) for i in range(n - 2)]
+    if n <= 5:
+        gens = [Perm.from_cycles(n, (i, i + 1, i + 2)) for i in range(n - 2)]
+    else:
+        long_cycle = tuple(range(0 if n % 2 else 1, n))
+        gens = [Perm.from_cycles(n, (0, 1, 2)), Perm.from_cycles(n, long_cycle)]
 
     def contains(p: Perm) -> bool:
         return p.degree == n and p.is_even()

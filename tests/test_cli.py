@@ -183,6 +183,19 @@ def test_tower_manifest_and_checks(capsys):
     assert "inconclusive" in info["base_coordinate_note"]
 
 
+# S4 x C2 on six points, the base of the benchmark's heaviest tower run
+S4XC2_GROUP = "p group 6\ng: 1 2 3 0 4 5\ng: 1 0 2 3 4 5\ng: 0 1 2 3 5 4\n"
+S4XC2_TOWER_SHA256 = "1311a57311b00ce5cfcb33681276569da65d3e4db84a1104552184c441ec8da8"
+
+
+def test_tower_over_s4xc2_prints_the_golden_bytes(tmp_path, capsys):
+    """Depth 1 over S4 x C2: stage 1 is Alt(2882) acting on 2,888 points."""
+    base = write(tmp_path, "s4xc2.txt", S4XC2_GROUP)
+    assert main(["tower", "--a", base, "--depth-d", "1"]) == 0
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == S4XC2_TOWER_SHA256
+
+
 def test_tower_depth_two_over_budget(capsys):
     assert main(["tower", "--depth-d", "2"]) == 3
     assert "budget error:" in capsys.readouterr().err

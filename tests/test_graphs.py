@@ -253,6 +253,12 @@ def test_extension_audit_rejects_universe_out_of_range(m, universe):
         audit_extension_property(cycle_graph(5), m, universe=universe)
 
 
+@pytest.mark.parametrize("m", [-1, -5])
+def test_extension_audit_rejects_negative_size_bound(m):
+    with pytest.raises(ValueError, match="size bound"):
+        audit_extension_property(complete_graph(2), m)
+
+
 def test_check_extension_property_rejects_bad_pairs():
     g = cycle_graph(5)
     with pytest.raises(ValueError, match="disjoint"):

@@ -7,10 +7,14 @@ are re-derived here by literal brute force rather than trusted.
 from __future__ import annotations
 
 import itertools
+import math
 import random
 from collections import Counter
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from sympy.combinatorics import Permutation, PermutationGroup
 
 from conftest import random_perm, subgroup_sets_by_subsets
 from meklerkit import (
@@ -73,6 +77,26 @@ def test_perm_algebra_random():
         for _ in range(k):
             acc = acc * p
         assert acc == Perm.identity(d)
+
+
+@st.composite
+def perm_pairs(draw):
+    d = draw(st.integers(0, 64))
+    p, q = (Perm(draw(st.permutations(range(d)))) for _ in range(2))
+    return p, q, draw(st.integers(0, 64).filter(lambda e: e != d))
+
+
+@settings(deadline=None)
+@given(perm_pairs())
+def test_perm_product_rule(case):
+    p, q, other_degree = case
+    pq = p * q
+    assert all(pq.images[i] == p.images[q.images[i]] for i in range(p.degree))
+    rebuilt = Perm(pq.images)
+    assert pq == rebuilt and hash(pq) == hash(rebuilt)
+    assert ~p * p == Perm.identity(p.degree)
+    with pytest.raises(ValueError, match="degree mismatch"):
+        p * Perm.identity(other_degree)
 
 
 def inversion_parity(p: Perm) -> bool:
@@ -149,6 +173,44 @@ def test_known_orders():
     assert trivial_group(1).order() == 1
     # every member of Alt(n) is even
     assert all(p.is_even() for p in alternating_group(5).elements())
+
+
+def test_small_alternating_groups_keep_consecutive_3_cycles():
+    expected = {
+        1: [], 2: [],
+        3: [(1, 2, 0)],
+        4: [(1, 2, 0, 3), (0, 2, 3, 1)],
+        5: [(1, 2, 0, 3, 4), (0, 2, 3, 1, 4), (0, 1, 3, 4, 2)],
+    }
+    for n, gens in expected.items():
+        assert [g.images for g in alternating_group(n).gens] == gens
+
+
+@pytest.mark.parametrize("n", [6, 7])
+def test_two_generator_alternating_group_enumerates_in_full(n):
+    g = alternating_group(n)
+    assert len(g.gens) == 2
+    els = closure_elements(g.gens, n)
+    assert len(els) == len(set(els)) == math.factorial(n) // 2
+    assert all(x.is_even() for x in els)
+
+
+def test_two_generator_alternating_group_is_alt_by_sympy():
+    """sympy's Schreier-Sims order up to degree 28 (it takes 11 s at 60).
+
+    Past that, and at degree 122 (stage 1 over C2): even generators that
+    include the 3-cycle (0 1 2) and act primitively give exactly Alt(n), by
+    Jordan's theorem.
+    """
+    for n in [*range(6, 61), 122]:
+        gens = [Permutation(list(g.images)) for g in alternating_group(n).gens]
+        assert len(gens) == 2 and all(g.is_even for g in gens)
+        assert gens[0] == Permutation(0, 1, 2, size=n)
+        group = PermutationGroup(gens)
+        if n <= 28:
+            assert group.order() == math.factorial(n) // 2, n
+        else:
+            assert group.is_primitive(randomized=False), n
 
 
 def test_quaternion_is_really_q8():
