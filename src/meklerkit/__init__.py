@@ -52,7 +52,6 @@ from .groups import (
     cayley_embedding_even,
     center_elements,
     closure_elements,
-    compose_homs,
     conjugacy_classes,
     cyclic_group,
     derived_subgroup_elements,
@@ -88,7 +87,6 @@ from .limits import (
     make_cayley_tower,
     project_pi,
     quotient_is_A,
-    s_membership,
 )
 from .manifest import format_manifest, parse_manifest, sha256_hex
 from .mekler import (

@@ -530,14 +530,6 @@ class Hom:
         return f"Hom({self.domain.label()} -> {self.codomain.label()}{nm})"
 
 
-def compose_homs(outer: Hom, inner: Hom) -> Hom:
-    """outer after inner, as a Hom on inner's domain."""
-    if inner.codomain.degree != outer.domain.degree:
-        raise ValueError("composition degree mismatch")
-    images = [outer(inner(g)) for g in inner.domain.gens]
-    return Hom(inner.domain, outer.codomain, images)
-
-
 _PAIR_TABLE_LIMIT = 1024  # largest domain given the all-pairs check
 
 

@@ -213,11 +213,6 @@ def project_pi(sys: DirectSystem, x: LimitElement) -> Perm:
     return value
 
 
-def s_membership(sys: DirectSystem, x: LimitElement) -> bool:
-    """Whether x lies in the kernel of the first-coordinate projection."""
-    return project_pi(sys, x).is_identity()
-
-
 def kernel_at_stage(sys: DirectSystem, stage: int) -> frozenset:
     """{e_A} x H_stage as a set of stage elements (stage must be enumerable)."""
     tower = _tower_meta(sys)

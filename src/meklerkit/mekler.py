@@ -285,13 +285,28 @@ class PcGroup:
         return coords @ weights
 
     def multiplication_table(self) -> np.ndarray:
-        """Dense index table T[i, j] = index of element_i * element_j."""
+        """Dense index table T[i, j] = index of element_i * element_j.
+
+        Exact by the central factorisation (a1, b1)(a2, b2) = (a1, 0)(a2, 0) *
+        (0, b1)(0, b2), as (0, b) is central.  With index a_idx * p^m + b_idx,
+        R[ia, ja] the index of (a1, 0)(a2, 0) and S the addition of pair parts,
+        T[ia p^m + ib, ja p^m + jb] = R - R % p^m + S[R % p^m, S[ib, jb]] at
+        R = R[ia, ja]; one ia block at a time, so temporaries stay near p^(n+2m).
+        """
         A, B = self.coordinate_matrix()
-        total = A.shape[0]
-        table = np.empty((total, total), dtype=np.int64)
-        for i in range(total):
-            a, b = self.multiply_arrays(A[i], B[i], A, B)
-            table[i] = self.rank_arrays(a, b)
+        pm = self.p ** self.num_pairs
+        # rows ::pm are the elements (a, 0); rows :pm are the elements (0, b)
+        A0, B0, Ab, Bb = A[::pm], B[::pm], A[:pm], B[:pm]
+        S = self.rank_arrays(*self.multiply_arrays(Ab[:, None], Bb[:, None], Ab, Bb))
+        # S3[ib, l, jb] = S[l, S[ib, jb]], the pair index of b_l + b1 + b2
+        S3 = S[:, S].transpose(1, 0, 2)
+        table = np.empty((len(A), len(A)), dtype=np.int64)
+        blocks = table.reshape(len(A0), pm, len(A0), pm)
+        for ia in range(len(A0)):
+            a, b = self.multiply_arrays(A0[ia], B0[ia], A0, B0)
+            r = self.rank_arrays(a, b)
+            lo = r % pm
+            np.add(S3[:, lo, :], (r - lo)[None, :, None], out=blocks[ia])
         return table
 
 

@@ -29,7 +29,6 @@ from meklerkit import (
     cayley_embedding_even,
     center_elements,
     closure_elements,
-    compose_homs,
     conjugacy_classes,
     cyclic_group,
     derived_subgroup_elements,
@@ -277,18 +276,6 @@ def test_hom_rejects_non_homomorphism():
     bad = Hom(c3, c2, [c2.gens[0]])
     with pytest.raises(ValueError):
         bad.verify()
-
-
-def test_compose_homs():
-    c4 = cyclic_group(4)
-    c2 = cyclic_group(2)
-    sq = Hom(c4, c2, [c2.gens[0]])
-    sq.verify()
-    inc = Hom(c2, c4, [c4.gens[0] * c4.gens[0]])
-    inc.verify()
-    comp = compose_homs(inc, sq)
-    for x in c4.elements():
-        assert comp(x) == inc(sq(x))
 
 
 def test_conjugacy_classes_and_center():

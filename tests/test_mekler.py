@@ -7,10 +7,15 @@ Two independent oracles pin the arithmetic:
   * dense multiplication tables checked for identity, inverses, Latin-square
     shape, exponent p, and sampled associativity, with the exhaustive
     associativity sweep living in the acceptance suite.
+
+The dense table is built from the central factorisation of the group, so it
+is also compared entry for entry with the literal row loop, which takes one
+array product per row and assumes nothing about the group.
 """
 
 from __future__ import annotations
 
+import hashlib
 import itertools
 import random
 from collections import Counter
@@ -20,6 +25,7 @@ import pytest
 
 from conftest import all_graphs, random_graph
 from meklerkit import (
+    Graph,
     ParseError,
     PcHom,
     build_mekler,
@@ -33,6 +39,7 @@ from meklerkit import (
     petersen_graph,
     recover_graph,
 )
+from meklerkit.mekler import TABLE_LIMIT
 
 
 def collect_multiply(pc, u, v):
@@ -304,6 +311,62 @@ def test_multiplication_table_properties():
         assert table[i, j] == pc.element_index(pc.multiply(els[i], els[j]))
 
 
+def row_loop_table(pc):
+    """Literal reference: T[i] = rank(multiply_arrays(A[i], B[i], A, B))."""
+    A, B = pc.coordinate_matrix()
+    table = np.empty((len(A), len(A)), dtype=np.int64)
+    for i in range(len(A)):
+        a, b = pc.multiply_arrays(A[i], B[i], A, B)
+        table[i] = pc.rank_arrays(a, b)
+    return table
+
+
+def graph_classes(n):
+    """One labelled graph per isomorphism class on n vertices."""
+    seen = set()
+    for g in all_graphs(n):
+        key = min(
+            tuple(sorted(tuple(sorted((perm[x], perm[y]))) for x, y in g.edges))
+            for perm in itertools.permutations(range(n))
+        )
+        if key not in seen:
+            seen.add(key)
+            yield g
+
+
+def table_cases():
+    """Graph groups whose order fits the table limit: every labelled graph
+    with at most 3 vertices at p = 3, and up to isomorphism every graph with
+    4 vertices at p = 3 and with at most 3 vertices at p = 5 and p = 7."""
+    cases = [(g, 3) for n in range(4) for g in all_graphs(n)]
+    cases += [(g, 3) for g in graph_classes(4)]
+    cases += [(g, p) for p in (5, 7) for n in range(4) for g in graph_classes(n)]
+    return [
+        pytest.param(g, p, id=f"p{p}-n{g.n}-" + "".join(f"{i}{j}" for i, j in sorted(g.edges)))
+        for g, p in cases
+        if build_mekler(g, p).order() <= TABLE_LIMIT
+    ]
+
+
+@pytest.mark.parametrize("graph,p", table_cases())
+def test_multiplication_table_matches_row_loop(graph, p):
+    pc = build_mekler(graph, p)
+    assert np.array_equal(pc.multiplication_table(), row_loop_table(pc))
+
+
+def test_multiplication_table_at_table_limit():
+    # C5 with chords 0-2 and 1-3 at p = 3: exactly TABLE_LIMIT elements, and
+    # the table's bytes are those the row loop wrote
+    g = Graph.from_edges(5, [(0, 1), (1, 2), (2, 3), (3, 4), (0, 4), (0, 2), (1, 3)])
+    pc = build_mekler(g, 3)
+    assert pc.order() == TABLE_LIMIT
+    table = pc.multiplication_table()
+    assert table.dtype == np.int64 and table.shape == (TABLE_LIMIT, TABLE_LIMIT)
+    assert hashlib.sha256(table.data).hexdigest() == (
+        "96dbb21a8be1c36e5e26cab8a80764c8fd4306172c53cd35db7d9b315a6a8b48"
+    )
+
+
 def test_multiplication_table_no_pair_coordinates():
     # single vertex and complete graphs have zero pair coordinates; the
     # vectorized rules must still broadcast a row against the full stack
@@ -312,6 +375,7 @@ def test_multiplication_table_no_pair_coordinates():
         assert pc.num_pairs == 0
         total = pc.order()
         table = pc.multiplication_table()
+        assert np.array_equal(table, row_loop_table(pc))
         els = list(pc.all_elements())
         for i in range(total):
             assert sorted(table[i]) == list(range(total))
