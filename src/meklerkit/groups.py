@@ -15,8 +15,11 @@ from __future__ import annotations
 import itertools
 import math
 from collections import Counter
+from collections.abc import Mapping
 from dataclasses import dataclass
 from operator import itemgetter
+
+import numpy as np
 
 from .errors import EnumerationBudgetError, ParseError
 
@@ -210,6 +213,7 @@ class PermGroup:
         self._element_set = None
         self._index = None  # (elements, Perm -> position, lazy Cayley table)
         self._lattice = (0, [])  # (order bound, [subgroup bitmask])
+        self._steps = None  # see _gen_steps
 
     def identity(self) -> Perm:
         return Perm.identity(self.degree)
@@ -247,6 +251,29 @@ class PermGroup:
             els = self.elements()
             self._index = (els, {x: i for i, x in enumerate(els)}, [{} for _ in els])
         return self._index
+
+    def _gen_steps(self) -> tuple:
+        """(right, start, tree) on element positions, built once.
+
+        right[k][i] is the position of elements()[i] * gens[k].  tree lists
+        (a, right[k][a], k) in breadth-first order from `start`, the
+        identity's position, and each position the generators reach appears
+        once as its second entry.
+        """
+        if self._steps is None:
+            els, pos, _ = self._indexed()
+            right = [[pos[x * s] for x in els] for s in self.gens]
+            start = pos[self.identity()]
+            queue, seen, tree = [start], {start}, []
+            for a in queue:
+                for k, col in enumerate(right):
+                    if col[a] not in seen:
+                        seen.add(col[a])
+                        queue.append(col[a])
+                        tree.append((a, col[a], k))
+            right = np.array(right, dtype=np.intp).reshape(len(self.gens), len(els))
+            self._steps = (right, start, tree)
+        return self._steps
 
     def order(self) -> int:
         if self.known_order is not None:
@@ -440,10 +467,15 @@ def direct_sum(a: PermGroup, b: PermGroup) -> DirectSum:
 class Hom:
     """Homomorphism fixed by generator images; table built lazily.
 
-    Building the table walks every (element, generator) product and checks
-    consistency on each collision; a conflict-free build is a complete proof
-    of the homomorphism property (induction on word length), so a Hom whose
-    `mapping` exists needs no further verification.
+    The table is one integer array over domain positions: row i holds the
+    images of the codomain points under the image of `domain.elements()[i]`,
+    in the smallest signed dtype that holds the codomain degree, so it takes
+    |domain| x degree x itemsize bytes.  It is filled breadth-first from the
+    identity's row, then every (element, generator) pair is checked,
+    f(x g) == f(x) f(g); a build that passes is a complete proof of the
+    homomorphism property (induction on word length), so a Hom whose
+    `mapping` exists needs no further verification.  `mapping` is a
+    read-only view that makes a `Perm` on each lookup and keeps none.
     """
 
     def __init__(self, domain: PermGroup, codomain: PermGroup, gen_images, name=None):
@@ -458,35 +490,39 @@ class Hom:
                 raise ValueError("image degree mismatch")
             if im not in codomain:
                 raise ValueError("generator image outside codomain")
-        self._mapping = None
+        self._mapping = None  # the view of the table, once built
 
     @property
-    def mapping(self) -> dict:
+    def mapping(self) -> Mapping:
         if self._mapping is None:
-            els = self.domain.elements()
-            table = {self.domain.identity(): self.codomain.identity()}
-            frontier = [self.domain.identity()]
-            while frontier:
-                fresh = []
-                for x in frontier:
-                    fx = table[x]
-                    for g, fg in zip(self.domain.gens, self.gen_images):
-                        y = x * g
-                        fy = fx * fg
-                        cur = table.get(y)
-                        if cur is None:
-                            table[y] = fy
-                            fresh.append(y)
-                        elif cur != fy:
-                            raise ValueError(
-                                f"generator images do not define a homomorphism "
-                                f"(conflict at {y!r})"
-                            )
-                frontier = fresh
-            if len(table) != len(els):
-                raise AssertionError("hom table does not cover the domain")
-            self._mapping = table
+            self._mapping = _HomTable(self.domain, self._build_table())
         return self._mapping
+
+    def _build_table(self) -> np.ndarray:
+        right, start, tree = self.domain._gen_steps()
+        degree = self.codomain.degree
+        rows = len(self.domain.elements())
+        if len(tree) + 1 != rows:
+            raise AssertionError("hom table does not cover the domain")
+        images = np.array([fg.images for fg in self.gen_images], dtype=np.intp)
+        images = images.reshape(len(self.gen_images), degree)
+        table = np.empty((rows, degree), dtype=_point_dtype(degree))
+        table[start] = np.arange(degree)
+        for a, y, k in tree:  # f(x g) = f(x) f(g) along the BFS tree
+            table[y] = table[a].take(images[k])
+        # the complete proof: f(x g) == f(x) f(g) for every x and generator g
+        chunk = _chunk_rows(degree * max(len(images), 1))
+        for lo in range(0, rows, chunk):
+            want = table[lo:lo + chunk].take(images, axis=1).swapaxes(0, 1)
+            bad = want != table[right[:, lo:lo + chunk]]
+            if bad.any():
+                k, i = np.argwhere(bad.any(axis=2))[0]
+                y = self.domain.elements()[right[k, lo + i]]
+                raise ValueError(
+                    f"generator images do not define a homomorphism "
+                    f"(conflict at {y!r})"
+                )
+        return table
 
     def __call__(self, x: Perm) -> Perm:
         if self._mapping is None:
@@ -503,31 +539,66 @@ class Hom:
         self.mapping
         return self
 
+    def _kernel_positions(self) -> list[int]:
+        table = self.mapping.table
+        ident = np.arange(table.shape[1], dtype=table.dtype)
+        chunk = _chunk_rows(table.shape[1])
+        return [lo + int(i) for lo in range(0, len(table), chunk)
+                for i in np.flatnonzero((table[lo:lo + chunk] == ident).all(axis=1))]
+
     def is_injective(self) -> bool:
-        m = self.mapping
-        return len(set(m.values())) == len(m)
+        # a hom is injective exactly when its kernel is trivial
+        return len(self._kernel_positions()) == 1
 
     def image_elements(self) -> tuple[Perm, ...]:
-        m = self.mapping
-        seen = set()
-        out = []
-        for x in self.domain.elements():
-            y = m[x]
-            if y not in seen:
-                seen.add(y)
-                out.append(y)
-        return tuple(out)
+        table = self.mapping.table
+        first = {}
+        for i, row in enumerate(table):
+            first.setdefault(row.tobytes(), i)
+        return tuple(Perm._make(tuple(table[i].tolist())) for i in first.values())
 
     def is_surjective(self) -> bool:
         return set(self.image_elements()) == self.codomain.element_set()
 
     def kernel_elements(self) -> tuple[Perm, ...]:
-        ident = self.codomain.identity()
-        return tuple(x for x in self.domain.elements() if self.mapping[x] == ident)
+        els = self.domain.elements()
+        return tuple(els[i] for i in self._kernel_positions())
 
     def __repr__(self):
         nm = f" {self.name}" if self.name else ""
         return f"Hom({self.domain.label()} -> {self.codomain.label()}{nm})"
+
+
+class _HomTable(Mapping):
+    """Read-only view of a hom table: domain element -> image `Perm`.
+
+    Each lookup makes a fresh `Perm` from the element's row; none is kept.
+    """
+
+    __slots__ = ("_els", "_pos", "table")
+
+    def __init__(self, domain: PermGroup, table: np.ndarray):
+        self._els, self._pos, _ = domain._indexed()
+        self.table = table
+
+    def __getitem__(self, x: Perm) -> Perm:
+        return Perm._make(tuple(self.table[self._pos[x]].tolist()))
+
+    def __len__(self) -> int:
+        return len(self.table)
+
+    def __iter__(self):
+        return iter(self._els)
+
+
+def _point_dtype(degree: int):
+    """The smallest signed integer dtype that holds the points 0 .. degree - 1."""
+    return np.int8 if degree <= 1 << 7 else np.int16 if degree <= 1 << 15 else np.int32
+
+
+def _chunk_rows(degree: int) -> int:
+    """Rows per slice, so that a slice of a hom table holds about 2^20 entries."""
+    return max(1, (1 << 20) // max(degree, 1))
 
 
 _PAIR_TABLE_LIMIT = 1024  # largest domain given the all-pairs check

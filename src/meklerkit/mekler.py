@@ -305,6 +305,9 @@ class PcGroup:
         for ia in range(len(A0)):
             a, b = self.multiply_arrays(A0[ia], B0[ia], A0, B0)
             r = self.rank_arrays(a, b)
+            if pm == 1:  # no pair coordinates: R is the table
+                table[ia] = r
+                continue
             lo = r % pm
             np.add(S3[:, lo, :], (r - lo)[None, :, None], out=blocks[ia])
         return table

@@ -11,6 +11,7 @@ import math
 import random
 from collections import Counter
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -26,6 +27,7 @@ from meklerkit import (
     alternating_group,
     automorphisms,
     brute_iso,
+    build_D,
     cayley_embedding_even,
     center_elements,
     closure_elements,
@@ -40,6 +42,7 @@ from meklerkit import (
     is_simple,
     iso_invariant_mismatch,
     klein_four_group,
+    make_cayley_tower,
     normal_closure,
     parse_group,
     parse_perm,
@@ -276,6 +279,124 @@ def test_hom_rejects_non_homomorphism():
     bad = Hom(c3, c2, [c2.gens[0]])
     with pytest.raises(ValueError):
         bad.verify()
+
+
+def _reference_mapping(hom: Hom) -> dict:
+    """Literal reference table: a Perm-dict BFS over products with the generators."""
+    dom = hom.domain
+    table = {dom.identity(): hom.codomain.identity()}
+    frontier = [dom.identity()]
+    while frontier:
+        fresh = []
+        for x in frontier:
+            fx = table[x]
+            for g, fg in zip(dom.gens, hom.gen_images):
+                y, fy = x * g, fx * fg
+                cur = table.get(y)
+                if cur is None:
+                    table[y] = fy
+                    fresh.append(y)
+                elif cur != fy:
+                    raise ValueError("generator images do not define a homomorphism")
+        frontier = fresh
+    assert len(table) == len(dom.elements())
+    return table
+
+
+def assert_table_matches_reference(hom: Hom) -> None:
+    ref = _reference_mapping(hom)
+    els = hom.domain.elements()
+    table = hom.mapping
+    assert len(table) == len(els) and list(table) == list(els)
+    for x in els:
+        assert table[x] == ref[x] and hom(x) == ref[x]
+    assert hom.is_injective() == (len(set(ref.values())) == len(els))
+    ident = hom.codomain.identity()
+    assert hom.kernel_elements() == tuple(x for x in els if ref[x] == ident)
+    assert hom.image_elements() == tuple(dict.fromkeys(ref[x] for x in els))
+
+
+def test_hom_table_dtype_and_lookup_contract():
+    f = cayley_embedding_even(symmetric_group(3))
+    view = f.verify().mapping
+    assert view.table.shape == (6, 8) and view.table.dtype == np.int8
+    with pytest.raises(KeyError):
+        view[Perm.identity(8)]
+    # lookups make a fresh Perm each time and the view keeps none of them
+    x = symmetric_group(3).gens[0]
+    assert view[x] == view[x] and view[x] is not view[x]
+    big = cyclic_group(200)
+    assert Hom(big, big, big.gens).mapping.table.dtype == np.int16
+
+
+@pytest.mark.parametrize("base", [cyclic_group(2), symmetric_group(3)], ids=["C2", "S3"])
+def test_tower_hom_tables_match_reference(base):
+    tower = make_cayley_tower(base, alternating_group(5), 1)
+    (phi,) = build_D(tower).maps
+    for hom in (tower.f_maps[0], phi):
+        assert_table_matches_reference(hom)
+        assert hom.is_injective()
+
+
+def test_direct_sum_hom_tables_match_reference():
+    ds = direct_sum(cyclic_group(2), symmetric_group(3))
+    for hom in (ds.inject_a, ds.inject_b, ds.project_a, ds.project_b):
+        assert_table_matches_reference(hom)
+
+
+def test_enumerated_hom_tables_match_reference():
+    cat = {g.label(): g for g in small_groups_catalog(8)}
+    pairs = [("S3", "S3"), ("Q8", "D4"), ("C2xC2", "S3")]
+    for f, g in pairs:
+        homs = enumerate_homs(cat[f], cat[g])
+        assert homs
+        for hom in homs:
+            assert_table_matches_reference(hom)
+
+
+SMALL_GROUPS = [cyclic_group(4), klein_four_group(), symmetric_group(3), dihedral_group(4),
+                quaternion_group()]
+
+
+@settings(deadline=None, max_examples=150)
+@given(st.sampled_from(SMALL_GROUPS), st.sampled_from(SMALL_GROUPS), st.data())
+def test_hom_table_rejects_exactly_what_the_reference_rejects(dom, cod, data):
+    cod_els = cod.elements()
+    images = [data.draw(st.sampled_from(cod_els)) for _ in dom.gens]
+    hom = Hom(dom, cod, images)
+    try:
+        _reference_mapping(hom)
+    except ValueError:
+        with pytest.raises(ValueError, match="do not define a homomorphism"):
+            hom.verify()
+    else:
+        assert_table_matches_reference(hom)
+
+
+def test_corrupted_cayley_image_is_refused():
+    s3 = symmetric_group(3)
+    f = cayley_embedding_even(s3)
+    # an even 3-cycle in place of the transposition's image breaks x^2 = e
+    bad = Perm.from_cycles(8, (0, 1, 2))
+    assert s3.gens[0].order() == 2 and bad.is_even() and bad in f.codomain
+    broken = Hom(s3, f.codomain, (bad,) + f.gen_images[1:])
+    with pytest.raises(ValueError, match="do not define a homomorphism"):
+        _reference_mapping(broken)
+    with pytest.raises(ValueError, match="do not define a homomorphism"):
+        broken.verify()
+
+
+def test_hom_table_seeds_from_the_identity_position():
+    s3 = symmetric_group(3)
+    els = s3.elements()
+    shuffled = els[3:] + els[:3]
+    dom = PermGroup.from_elements(3, s3.gens, shuffled)
+    assert not dom.elements()[0].is_identity()
+    f = cayley_embedding_even(s3)
+    assert_table_matches_reference(Hom(dom, f.codomain, f.gen_images))
+    c2 = cyclic_group(2)
+    sign = [c2.identity() if g.is_even() else c2.gens[0] for g in s3.gens]
+    assert_table_matches_reference(Hom(dom, c2, sign))
 
 
 def test_conjugacy_classes_and_center():
