@@ -270,8 +270,10 @@ def _tower_sections(tower, sys_d, absorption_sample: int) -> tuple[list, bool]:
     """The tower manifest (header and checks) and whether every check held."""
     g0 = sys_d.stages[0]
     stage0 = [sys_d.element(0, x) for x in g0.elements()]
-    pi_ok = tower.depth == 0 or all(
-        project_pi(sys_d, sys_d.push(e0, 1)) == project_pi(sys_d, e0) for e0 in stage0
+    # row i of phi_0's table is phi_0(g0.elements()[i]); pi reads its first da points
+    da = tower.base.degree
+    pi_ok = tower.depth == 0 or np.array_equal(
+        sys_d.maps[0].mapping.table[:, :da], [e0.value.images[:da] for e0 in stage0]
     )
     kernel = kernel_at_stage(sys_d, 0)
     member_ok = all(

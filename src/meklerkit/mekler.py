@@ -30,7 +30,7 @@ from .errors import ParseError
 from .graphs import Graph
 
 TABLE_LIMIT = 6561  # largest order for a dense multiplication table
-MAX_P = 2**31 - 1  # a prime; the array rules form coordinate products < p^2 in int64
+MAX_P = 2**31 - 1  # a prime; p^2 still fits the array rules' int64
 
 
 def is_odd_prime(p: int) -> bool:
@@ -84,6 +84,8 @@ class PcGroup:
         # per-pair component indices, used by the vectorized rules
         self._xs = np.array([x for x, _ in self.nonedges], dtype=np.int64)
         self._ys = np.array([y for _, y in self.nonedges], dtype=np.int64)
+        self._dtype = next(t for t in (np.int8, np.int16, np.int32, np.int64)
+                           if np.iinfo(t).max >= p * p)
 
     @property
     def n(self) -> int:
@@ -248,32 +250,41 @@ class PcGroup:
 
     # -- vectorized coordinate rules ------------------------------------------
 
+    def _narrow(self, *arrays):
+        """The arrays in the working dtype; ValueError unless all lie in [0, p)."""
+        arrays = [np.asarray(x) for x in arrays]
+        if any(x.size and (x.min() < 0 or x.max() >= self.p) for x in arrays):
+            raise ValueError(f"array coordinates must lie in [0, {self.p})")
+        return [x.astype(self._dtype, copy=False) for x in arrays]
+
+    def _reduced(self, x):
+        """x mod p as int64, by floor division (far cheaper than `%`) in place."""
+        x -= x // self.p * self.p
+        return x.astype(np.int64)
+
     def multiply_arrays(self, a1, b1, a2, b2):
-        p = self.p
-        a = (a1 + a2) % p
-        if self.num_pairs:
-            corr = a1[..., self._ys] * a2[..., self._xs]
-            b = (b1 + b2 - corr) % p
-        else:
-            b = (b1 + b2) % p
-        return a, b
+        """Stacked products (a + a', b + b' - a_y a'_x) mod p, as int64.
+
+        Coordinates must lie in [0, p), else ValueError; leading axes
+        broadcast.  The work runs in the narrowest signed dtype whose max
+        holds p^2 (int8 for p <= 11, int16 to 181, int32 to 46337, else
+        int64), which is exact as every intermediate lies in (-p^2, p^2).
+        """
+        a1, b1, a2, b2 = self._narrow(a1, b1, a2, b2)
+        corr = a1[..., self._ys] * a2[..., self._xs]
+        return self._reduced(a1 + a2), self._reduced(b1 + b2 - corr)
 
     def inverse_arrays(self, a1, b1):
-        p = self.p
-        a = (-a1) % p
-        if self.num_pairs:
-            b = (-b1 - a1[..., self._xs] * a1[..., self._ys]) % p
-        else:
-            b = (-b1) % p
-        return a, b
+        """Stacked inverses (-a, -b - a_x a_y) mod p; contract as multiply_arrays."""
+        a1, b1 = self._narrow(a1, b1)
+        corr = a1[..., self._xs] * a1[..., self._ys]
+        return self._reduced(-a1), self._reduced(-b1 - corr)
 
     def commutator_arrays(self, a1, a2):
-        p = self.p
-        if self.num_pairs:
-            return (a1[..., self._xs] * a2[..., self._ys]
-                    - a1[..., self._ys] * a2[..., self._xs]) % p
-        shape = np.broadcast_shapes(a1.shape[:-1], a2.shape[:-1])
-        return np.zeros(shape + (0,), dtype=np.int64)
+        """[u, v] pair parts a_x a'_y - a_y a'_x mod p; contract as multiply_arrays."""
+        a1, a2 = self._narrow(a1, a2)
+        return self._reduced(a1[..., self._xs] * a2[..., self._ys]
+                             - a1[..., self._ys] * a2[..., self._xs])
 
     def rank_arrays(self, a, b) -> np.ndarray:
         """Mixed-radix element indices for stacked coordinate arrays."""

@@ -5,7 +5,14 @@ import hashlib
 import pytest
 
 from meklerkit import parse_graph, parse_manifest
-from meklerkit.cli import main
+from meklerkit.cli import (
+    DEFAULT_ENUM_BUDGET,
+    DEFAULT_POINT_BUDGET,
+    _build_tower,
+    _load_base,
+    _tower_sections,
+    main,
+)
 
 C5 = "p graph 5\ne 0 1\ne 1 2\ne 2 3\ne 3 4\ne 0 4\n"
 K3 = "p graph 3\ne 0 1\ne 0 2\ne 1 2\n"
@@ -181,6 +188,22 @@ def test_tower_manifest_and_checks(capsys):
     assert info["quotient_is_base"] == "yes"
     assert info["absorption_all_contain_kernel"] == "yes"
     assert "inconclusive" in info["base_coordinate_note"]
+
+
+@pytest.mark.parametrize("row", [0, 57, 119])
+def test_tower_pi_check_sees_a_corrupted_a_block(row):
+    # the pi check reads the A-block of every phi_0 table row, so reversing
+    # the C2 block of any one row, first to last, makes it fail
+    tower, sys_d = _build_tower(
+        _load_base(None), 1, DEFAULT_POINT_BUDGET, DEFAULT_ENUM_BUDGET
+    )
+    sections, ok = _tower_sections(tower, sys_d, 1)
+    assert dict(sections[1])["pi_commutes"] == "yes" and ok
+    table = sys_d.maps[0].mapping.table
+    da = tower.base.degree
+    table[row, :da] = table[row, :da][::-1].copy()
+    sections, ok = _tower_sections(tower, sys_d, 1)
+    assert dict(sections[1])["pi_commutes"] == "NO" and not ok
 
 
 # S4 x C2 on six points, the base of the benchmark's heaviest tower run

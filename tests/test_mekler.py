@@ -39,7 +39,7 @@ from meklerkit import (
     petersen_graph,
     recover_graph,
 )
-from meklerkit.mekler import TABLE_LIMIT
+from meklerkit.mekler import MAX_P, TABLE_LIMIT
 
 
 def collect_multiply(pc, u, v):
@@ -280,18 +280,81 @@ def test_coordinate_matrix_and_array_ops():
             assert tuple(cb[0]) == pc.commutator(u, v).b
 
 
-def test_array_rules_exact_at_largest_p():
-    # coordinates p - 1 give products (p - 1)^2 just under 2^62
-    pc = build_mekler(cycle_graph(5), 2**31 - 1)
-    top = pc.p - 1
-    u = pc.element([top] * pc.n, [top] * pc.num_pairs)
-    ua, ub = np.array([u.a], dtype=np.int64), np.array([u.b], dtype=np.int64)
-    pa, pb = pc.multiply_arrays(ua, ub, ua, ub)
-    prod = pc.multiply(u, u)
-    assert tuple(pa[0]) == prod.a and tuple(pb[0]) == prod.b
-    ia, ib = pc.inverse_arrays(ua, ub)
-    inv = pc.inverse(u)
-    assert tuple(ia[0]) == inv.a and tuple(ib[0]) == inv.b
+# the smallest prime, the primes on each side of every working-dtype switch,
+# and MAX_P, where (p - 1)^2 is just under 2^62
+DTYPE_EDGES = [
+    (3, np.int8), (11, np.int8), (13, np.int16), (181, np.int16),
+    (191, np.int32), (46337, np.int32), (46349, np.int64), (MAX_P, np.int64),
+]
+
+
+def edge_rows(pc, rng):
+    """Coordinate rows: all p - 1, alternating p - 1 and 0 (each side of the
+    commutator at its extreme), its complement, then random rows."""
+    p, n, m = pc.p, pc.n, pc.num_pairs
+    a = rng.integers(0, p, size=(8, n), dtype=np.int64)
+    b = rng.integers(0, p, size=(8, m), dtype=np.int64)
+    a[0], b[0] = p - 1, p - 1
+    a[1] = (p - 1) * (np.arange(n) % 2 == 0)
+    a[2] = (p - 1) - a[1]
+    return a, b
+
+
+@pytest.mark.parametrize("p,dtype", DTYPE_EDGES, ids=[str(p) for p, _ in DTYPE_EDGES])
+def test_array_rules_at_dtype_edges(p, dtype):
+    pc = build_mekler(cycle_graph(5), p)
+    assert pc._dtype == dtype
+    rng = np.random.default_rng(p)
+    a1, b1 = edge_rows(pc, rng)
+    # row 0 meets itself (every product at (p - 1)^2), rows 1 and 2 meet
+    # each other (each commutator term at its extreme), the rest at random
+    order = [0, 2, 1, 4, 5, 6, 7, 3]
+    a2, b2 = a1[order], b1[order]
+    u = [pc.element(a, b) for a, b in zip(a1, b1)]
+    v = [pc.element(a, b) for a, b in zip(a2, b2)]
+    pa, pb = pc.multiply_arrays(a1, b1, a2, b2)
+    ia, ib = pc.inverse_arrays(a1, b1)
+    cb = pc.commutator_arrays(a1, a2)
+    assert {x.dtype for x in (pa, pb, ia, ib, cb)} == {np.dtype(np.int64)}
+    for k in range(8):
+        prod, inv = pc.multiply(u[k], v[k]), pc.inverse(u[k])
+        assert (tuple(pa[k]), tuple(pb[k])) == (prod.a, prod.b)
+        assert (tuple(ia[k]), tuple(ib[k])) == (inv.a, inv.b)
+        assert tuple(cb[k]) == pc.commutator(u[k], v[k]).b
+    # the broadcasts of multiplication_table: one row against a block, and
+    # a block against itself as (k, 1, .) by (k, .)
+    for i in range(8):
+        ra, rb = pc.multiply_arrays(a1[i], b1[i], a2, b2)
+        rc = pc.commutator_arrays(a1[i], a2)
+        assert ra.shape == a2.shape and rb.shape == b2.shape and rc.shape == b2.shape
+        assert ra.dtype == rb.dtype == rc.dtype == np.int64
+        for k in range(8):
+            prod = pc.multiply(u[i], v[k])
+            assert (tuple(ra[k]), tuple(rb[k])) == (prod.a, prod.b)
+            assert tuple(rc[k]) == pc.commutator(u[i], v[k]).b
+    sa, sb = pc.multiply_arrays(a1[:, None], b1[:, None], a2, b2)
+    assert sa.shape == (8, 8, pc.n) and sb.shape == (8, 8, pc.num_pairs)
+    assert sb.dtype == np.int64
+    for i, k in itertools.product(range(8), repeat=2):
+        assert tuple(sb[i, k]) == pc.multiply(u[i], v[k]).b
+
+
+@pytest.mark.parametrize("bad", [-1, 11], ids=["negative", "equal-to-p"])
+def test_array_rules_refuse_unreduced_coordinates(bad):
+    pc = build_mekler(cycle_graph(5), 11)
+    a = np.zeros((3, pc.n), dtype=np.int64)
+    b = np.zeros((3, pc.num_pairs), dtype=np.int64)
+    wa, wb = a.copy(), b.copy()
+    wa[1, 2] = wb[2, 1] = bad
+    for args in [(wa, b, a, b), (a, wb, a, b), (a, b, wa, b), (a, b, a, wb)]:
+        with pytest.raises(ValueError):
+            pc.multiply_arrays(*args)
+    for args in [(wa, b), (a, wb)]:
+        with pytest.raises(ValueError):
+            pc.inverse_arrays(*args)
+    for args in [(wa, a), (a, wa)]:
+        with pytest.raises(ValueError):
+            pc.commutator_arrays(*args)
 
 
 def test_multiplication_table_properties():
