@@ -110,4 +110,3 @@ from .omni import (
     omni_audit,
     omni_check,
 )
-from .words import FPWord, FreeProduct, Letter

@@ -101,6 +101,13 @@ def _check_at_least(flag: str, value: int, least: int) -> None:
         raise ParseError(f"{flag} must be >= {least}, got {value}")
 
 
+def _check_budgets(args) -> None:
+    """Every budget flag the command takes must be at least 1."""
+    for name in ("budget_enum", "budget_points", "budget_vertices"):
+        if hasattr(args, name):
+            _check_at_least("--" + name.replace("_", "-"), getattr(args, name), 1)
+
+
 def _check_max_g(max_g: int) -> None:
     if max_g > CATALOG_MAX_ORDER:
         raise ParseError(f"MAX_G must be <= {CATALOG_MAX_ORDER}, got {max_g}")
@@ -139,6 +146,7 @@ def cmd_nice(args) -> int:
 
 
 def cmd_extend(args) -> int:
+    _check_budgets(args)
     _check_at_least("--depth-k", args.depth_k, 0)
     g = _load_graph(args.graph)
     result, inclusion = extend_tower(g, args.depth_k, args.budget_vertices)
@@ -196,6 +204,7 @@ def cmd_recover(args) -> int:
 
 
 def cmd_iso(args) -> int:
+    _check_budgets(args)
     a = _load_group(args.group_a, args.budget_enum)
     b = _load_group(args.group_b, args.budget_enum)
     hom = brute_iso(a, b)
@@ -217,6 +226,7 @@ def cmd_iso(args) -> int:
 
 
 def cmd_lift(args) -> int:
+    _check_budgets(args)
     f = _load_group(args.group_f, args.budget_enum)
     g = _load_group(args.group_g, args.budget_enum)
     homs = enumerate_homs(f, g)
@@ -252,6 +262,7 @@ def _stage0_audit(sys_d, args):
 
 
 def cmd_omni(args) -> int:
+    _check_budgets(args)
     _check_max_g(args.bound[1])
     if args.h_bound is not None:
         _check_at_least("--h-bound", args.h_bound, 1)
@@ -322,6 +333,7 @@ def _tower_sections(tower, sys_d, absorption_sample: int) -> tuple[list, bool]:
 
 
 def cmd_tower(args) -> int:
+    _check_budgets(args)
     _check_at_least("--depth-d", args.depth_d, 0)
     _check_at_least("--absorption-sample", args.absorption_sample, 0)
     tower, sys_d = _build_tower(
@@ -381,6 +393,7 @@ def cmd_reduce(args) -> int:
     try:
         # every input is parsed before anything is written
         _check_p(args.p)
+        _check_budgets(args)
         _check_at_least("--depth-k", args.depth_k, 0)
         _check_at_least("--depth-d", args.depth_d, 0)
         _check_max_g(args.bound[1])

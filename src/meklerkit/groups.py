@@ -18,6 +18,7 @@ from collections import Counter
 from collections.abc import Mapping
 from dataclasses import dataclass
 from operator import itemgetter
+from typing import NamedTuple
 
 import numpy as np
 
@@ -134,35 +135,43 @@ class Perm:
         return "Perm(" + "".join("(" + " ".join(map(str, c)) + ")" for c in cycs) + ")"
 
 
-def closure_elements(gens, degree: int, maxsize: int | None = None):
-    """BFS product closure; deterministic order, identity first.
+def _closure(gens, degree: int, maxsize: int | None = None):
+    """Breadth-first product closure that takes each product x * g once.
 
-    Returns the element list, or None once the closure exceeds `maxsize`.
+    Returns (elements, Perm -> position, right, tree), or None once the
+    closure exceeds `maxsize`.  The elements start with the identity;
+    right[k][i] is the position of elements[i] * gens[k], and tree lists the
+    step (a, i, k), elements[i] = elements[a] * gens[k], that first reached
+    each position i > 0, in breadth-first order.
     """
     ident = Perm.identity(degree)
-    seen = {ident}
-    order = [ident]
-    frontier = [ident]
-    while frontier:
-        fresh = []
-        for a in frontier:
-            for g in gens:
-                c = a * g
-                if c not in seen:
-                    seen.add(c)
-                    order.append(c)
-                    fresh.append(c)
-                    if maxsize is not None and len(order) > maxsize:
-                        return None
-        frontier = fresh
-    return order
+    els, pos, tree = [ident], {ident: 0}, []
+    right = [[] for _ in gens]
+    for a, x in enumerate(els):  # els grows as the walk finds elements
+        for k, g in enumerate(gens):
+            c = x * g
+            i = pos.get(c)
+            if i is None:
+                i = pos[c] = len(els)
+                els.append(c)
+                tree.append((a, i, k))
+                if maxsize is not None and len(els) > maxsize:
+                    return None
+            right[k].append(i)
+    return els, pos, right, tree
+
+
+def closure_elements(gens, degree: int, maxsize: int | None = None):
+    """The element list of `_closure`: identity first, or None past `maxsize`."""
+    walk = _closure(gens, degree, maxsize)
+    return walk and walk[0]
 
 
 def _closure_mask(g: PermGroup, gens, maxsize: int):
-    """`closure_elements` on g's element positions: (order, bitmask) or None."""
-    els, pos, table = g._indexed()
-    frontier = [pos[g.identity()]]
-    order, mask = list(frontier), 1 << frontier[0]
+    """The bitmask of <gens> over g's element positions, or None past maxsize."""
+    ix = g._indexed()
+    els, pos, table = ix.elements, ix.pos, ix.table
+    frontier, mask, size = [0], 1, 1  # position 0 is the identity
     while frontier:
         fresh = []
         for a in frontier:
@@ -174,11 +183,21 @@ def _closure_mask(g: PermGroup, gens, maxsize: int):
                 if not mask >> c & 1:
                     mask |= 1 << c
                     fresh.append(c)
-        order += fresh
-        if len(order) > maxsize:
+        size += len(fresh)
+        if size > maxsize:
             return None
         frontier = fresh
-    return order, mask
+    return mask
+
+
+class _Index(NamedTuple):
+    """A group's one index, from one `_closure` walk over its generators."""
+
+    elements: tuple
+    pos: dict        # Perm -> position; position 0 is the identity
+    table: list      # product table on positions, filled on first use
+    right: np.ndarray  # right[k, i]: position of elements[i] * gens[k]
+    tree: list       # (a, i, k): the walk's step that first reached i
 
 
 class PermGroup:
@@ -209,71 +228,40 @@ class PermGroup:
         self.known_simple = known_simple
         self.contains_hook = contains_hook
         self.enum_budget = enum_budget
-        self._elements = None
-        self._element_set = None
-        self._index = None  # (elements, Perm -> position, lazy Cayley table)
+        self._index = None  # see _indexed
         self._lattice = (0, [])  # (order bound, [subgroup bitmask])
-        self._steps = None  # see _gen_steps
 
     def identity(self) -> Perm:
         return Perm.identity(self.degree)
 
     def is_enumerable(self) -> bool:
-        if self._elements is not None:
-            return True
-        if self.known_order is not None:
-            return self.known_order <= self.enum_budget
-        return True  # unknown order: enumeration will try, budget-guarded
+        # an unknown order is worth a try: the enumeration is budget-guarded
+        return (self._index is not None or self.known_order is None
+                or self.known_order <= self.enum_budget)
 
     def elements(self) -> tuple[Perm, ...]:
-        if self._elements is None:
+        return self._indexed().elements
+
+    def element_set(self) -> frozenset:
+        return frozenset(self._indexed().pos)
+
+    def _indexed(self) -> _Index:
+        """The group's one index, built by one `_closure` walk over its gens."""
+        if self._index is None:
             if self.known_order is not None and self.known_order > self.enum_budget:
                 raise EnumerationBudgetError(
                     f"group of order {self.known_order} exceeds element budget "
                     f"{self.enum_budget}"
                 )
-            els = closure_elements(self.gens, self.degree, maxsize=self.enum_budget)
-            if els is None:
+            walk = _closure(self.gens, self.degree, self.enum_budget)
+            if walk is None:
                 raise EnumerationBudgetError(
                     f"enumeration exceeded element budget {self.enum_budget}"
                 )
-            self._elements = tuple(els)
-        return self._elements
-
-    def element_set(self) -> frozenset:
-        if self._element_set is None:
-            self._element_set = frozenset(self.elements())
-        return self._element_set
-
-    def _indexed(self) -> tuple:
-        """(elements, Perm -> position, product table that fills on use)."""
-        if self._index is None:
-            els = self.elements()
-            self._index = (els, {x: i for i, x in enumerate(els)}, [{} for _ in els])
-        return self._index
-
-    def _gen_steps(self) -> tuple:
-        """(right, start, tree) on element positions, built once.
-
-        right[k][i] is the position of elements()[i] * gens[k].  tree lists
-        (a, right[k][a], k) in breadth-first order from `start`, the
-        identity's position, and each position the generators reach appears
-        once as its second entry.
-        """
-        if self._steps is None:
-            els, pos, _ = self._indexed()
-            right = [[pos[x * s] for x in els] for s in self.gens]
-            start = pos[self.identity()]
-            queue, seen, tree = [start], {start}, []
-            for a in queue:
-                for k, col in enumerate(right):
-                    if col[a] not in seen:
-                        seen.add(col[a])
-                        queue.append(col[a])
-                        tree.append((a, col[a], k))
+            els, pos, right, tree = walk
             right = np.array(right, dtype=np.intp).reshape(len(self.gens), len(els))
-            self._steps = (right, start, tree)
-        return self._steps
+            self._index = _Index(tuple(els), pos, [{} for _ in els], right, tree)
+        return self._index
 
     def order(self) -> int:
         if self.known_order is not None:
@@ -283,23 +271,15 @@ class PermGroup:
     def __contains__(self, p: Perm) -> bool:
         if p.degree != self.degree:
             return False
-        if self._elements is not None:
-            return p in self.element_set()
-        if self.contains_hook is not None:
+        if self._index is None and self.contains_hook is not None:
             return self.contains_hook(p)
-        return p in self.element_set()
+        return p in self._indexed().pos
 
     def is_abelian(self) -> bool:
         return all(a * b == b * a for a, b in itertools.combinations(self.gens, 2))
 
     def label(self) -> str:
         return self.name or f"group<deg {self.degree}, {len(self.gens)} gens>"
-
-    @classmethod
-    def from_elements(cls, degree, gens, elements, **kw) -> "PermGroup":
-        g = cls(degree, gens, known_order=len(elements), **kw)
-        g._elements = tuple(elements)
-        return g
 
     def __repr__(self):
         if self.name:
@@ -499,25 +479,23 @@ class Hom:
         return self._mapping
 
     def _build_table(self) -> np.ndarray:
-        right, start, tree = self.domain._gen_steps()
+        ix = self.domain._indexed()  # its tree reaches every position but 0
         degree = self.codomain.degree
-        rows = len(self.domain.elements())
-        if len(tree) + 1 != rows:
-            raise AssertionError("hom table does not cover the domain")
+        rows = len(ix.elements)
         images = np.array([fg.images for fg in self.gen_images], dtype=np.intp)
         images = images.reshape(len(self.gen_images), degree)
         table = np.empty((rows, degree), dtype=_point_dtype(degree))
-        table[start] = np.arange(degree)
-        for a, y, k in tree:  # f(x g) = f(x) f(g) along the BFS tree
+        table[0] = np.arange(degree)  # position 0 is the identity
+        for a, y, k in ix.tree:  # f(x g) = f(x) f(g) along the BFS tree
             table[y] = table[a].take(images[k])
         # the complete proof: f(x g) == f(x) f(g) for every x and generator g
         chunk = _chunk_rows(degree * max(len(images), 1))
         for lo in range(0, rows, chunk):
             want = table[lo:lo + chunk].take(images, axis=1).swapaxes(0, 1)
-            bad = want != table[right[:, lo:lo + chunk]]
+            bad = want != table[ix.right[:, lo:lo + chunk]]
             if bad.any():
                 k, i = np.argwhere(bad.any(axis=2))[0]
-                y = self.domain.elements()[right[k, lo + i]]
+                y = ix.elements[ix.right[k, lo + i]]
                 raise ValueError(
                     f"generator images do not define a homomorphism "
                     f"(conflict at {y!r})"
@@ -578,7 +556,7 @@ class _HomTable(Mapping):
     __slots__ = ("_els", "_pos", "table")
 
     def __init__(self, domain: PermGroup, table: np.ndarray):
-        self._els, self._pos, _ = domain._indexed()
+        self._els, self._pos = domain.elements(), domain._indexed().pos
         self.table = table
 
     def __getitem__(self, x: Perm) -> Perm:
@@ -707,11 +685,9 @@ def normal_closure(g: PermGroup, x: Perm) -> PermGroup:
     """Smallest normal subgroup of g containing x."""
     if x not in g:
         raise ValueError("element outside the group")
-    orbit = _conjugates(g, x)
-    closed = closure_elements(orbit, g.degree, maxsize=g.enum_budget)
-    if closed is None:
-        raise EnumerationBudgetError("normal closure exceeded element budget")
-    return PermGroup.from_elements(g.degree, orbit, closed)
+    nc = PermGroup(g.degree, _conjugates(g, x), enum_budget=g.enum_budget)
+    nc.elements()  # raises EnumerationBudgetError past g's budget
+    return nc
 
 
 @dataclass(frozen=True)
@@ -745,28 +721,27 @@ def subgroups_containing(
     asked, as bitmasks of element positions; each call reruns the search from
     <seed_gens> on the masks alone, so H's generators are seed_gens + path.
     """
-    els, pos, _ = g._indexed()
+    els = g.elements()
     bound = min(order_bound, len(els))
     if g._lattice[0] < bound:
-        found = {_closure_mask(g, [], bound)[1]: ()}
+        found = {1: ()}  # the trivial subgroup: position 0 alone
         queue = list(found)
         for mask in queue:
             for x in range(len(els)):
                 gens = found[mask] + (x,)
                 bigger = not mask >> x & 1 and _closure_mask(g, gens, bound)
-                if bigger and bigger[1] not in found:
-                    found[bigger[1]] = gens
-                    queue.append(bigger[1])
+                if bigger and bigger not in found:
+                    found[bigger] = gens
+                    queue.append(bigger)
         found = sorted(found, key=lambda m: (m.bit_count(), sorted(
             els[i].images for i in range(len(els)) if m >> i & 1)))
         g._lattice = (bound, found)
-    seed = tuple(pos[x] for x in seed_gens)
+    seed = tuple(g._indexed().pos[x] for x in seed_gens)
     base = _closure_mask(g, seed, order_bound)
     if base is None:
         return []
-    kept = [m for m in g._lattice[1]
-            if m.bit_count() <= order_bound and not base[1] & ~m]
-    paths, queue = {base[1]: seed}, [base[1]]
+    kept = [m for m in g._lattice[1] if m.bit_count() <= order_bound and not base & ~m]
+    paths, queue = {base: seed}, [base]
     for k in queue:
         taken, steps = k, []
         for m in kept:  # smallest first, so x's first hit is <K, x>
@@ -777,11 +752,8 @@ def subgroups_containing(
             if m not in paths:
                 paths[m] = paths[k] + (x,)
                 queue.append(m)
-    return [
-        PermGroup.from_elements(g.degree, [els[i] for i in paths[m]], [
-            els[i] for i in _closure_mask(g, paths[m], order_bound)[0]])
-        for m in kept
-    ]
+    return [PermGroup(g.degree, [els[i] for i in paths[m]], known_order=m.bit_count(),
+                      enum_budget=g.enum_budget) for m in kept]
 
 
 def subgroups(g: PermGroup, order_bound: int) -> list[PermGroup]:
@@ -840,7 +812,7 @@ def _iso_search(g: PermGroup, h: PermGroup):
     size_g = {x: len(c) for c in conjugacy_classes(g) for x in c}
     pools = [[y for y in _order_pool(x, h, exact=True) if size_h[y] == size_g[x]]
              for x in seq]
-    domain = PermGroup.from_elements(g.degree, seq, g.elements())
+    domain = PermGroup(g.degree, seq, known_order=g.order(), enum_budget=g.enum_budget)
     for hom in _homs(domain, h, pools):
         if (hom.is_injective() and len(hom.mapping) == h.order()
                 and verify_hom_table(hom)):
@@ -854,13 +826,14 @@ def brute_iso(g: PermGroup, h: PermGroup) -> Hom | None:
 
 def automorphisms(g: PermGroup) -> PermGroup:
     """Automorphism group acting on g's element list by position."""
-    els = g.elements()
-    index = {x: i for i, x in enumerate(els)}
-    perms = sorted(
-        Perm(tuple(index[hom.mapping[x]] for x in els)) for hom in _iso_search(g, g))
+    ix = g._indexed()
+    perms = sorted(Perm(tuple(ix.pos[hom.mapping[x]] for x in ix.elements))
+                   for hom in _iso_search(g, g))
     if not perms:
         raise AssertionError("identity automorphism missing")
-    return PermGroup.from_elements(len(els), perms, perms, name=f"Aut({g.label()})")
+    # sorted, the identity comes first, so the walk lists perms in this order
+    return PermGroup(len(ix.elements), perms, name=f"Aut({g.label()})",
+                     known_order=len(perms), enum_budget=g.enum_budget)
 
 
 def cayley_embedding_even(g: PermGroup) -> Hom:
@@ -871,13 +844,12 @@ def cayley_embedding_even(g: PermGroup) -> Hom:
     correction is itself a homomorphism into C2 (parity is multiplicative),
     so the combined map is an injective hom landing in the alternating group.
     """
-    els = g.elements()
-    m = len(els)
-    index = {x: i for i, x in enumerate(els)}
+    ix = g._indexed()
+    m = len(ix.elements)
     target = alternating_group(m + 2)
 
     def embed(x: Perm) -> Perm:
-        images = [index[x * y] for y in els]
+        images = [ix.pos[x * y] for y in ix.elements]
         base = Perm(images)
         if base.is_even():
             images += [m, m + 1]

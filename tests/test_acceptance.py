@@ -19,7 +19,6 @@ import numpy as np
 
 from conftest import all_graphs, random_graph
 from meklerkit import (
-    FreeProduct,
     Graph,
     GraphIso,
     Hom,
@@ -51,7 +50,6 @@ from meklerkit import (
     trivial_group,
 )
 from meklerkit.limits import DirectSystem
-from test_words import rightmost_reduce
 
 
 def verdict(tag: str, ok: bool, detail: str) -> None:
@@ -449,38 +447,6 @@ def test_10_omni_checker():
         "acceptance 10 bounded extension audit",
         ok and took < 600,
         f"S4 witness, S3 exhaustive none, {len(r1.rows)} audited rows twice, {took:.1f}s",
-    )
-
-
-def test_11_free_product_words():
-    t0 = time.monotonic()
-    fp = FreeProduct(cyclic_group(2), cyclic_group(3))
-    factors = (cyclic_group(2), cyclic_group(3))
-    rng = random.Random(20240823)
-
-    def raw_word():
-        return [
-            (k, rng.choice(factors[k].elements()))
-            for k in (rng.randrange(2) for _ in range(rng.randrange(12)))
-        ]
-
-    ok = True
-    for _ in range(1000):
-        raw = raw_word()
-        ok = ok and fp.reduce(raw) == rightmost_reduce(fp, raw)
-    words = [fp.reduce(raw_word()) for _ in range(60)]
-    for _ in range(1000):
-        w1, w2, w3 = (rng.choice(words) for _ in range(3))
-        left = fp.multiply(fp.multiply(w1, w2), w3)
-        right = fp.multiply(w1, fp.multiply(w2, w3))
-        ok = ok and left == right
-        ok = ok and fp.multiply(w1, fp.inverse(w1)) == fp.identity()
-        ok = ok and fp.multiply(fp.identity(), w1) == w1
-    took = time.monotonic() - t0
-    verdict(
-        "acceptance 11 free product words",
-        ok,
-        f"1000 confluence words and 1000 law triples over C2 * C3, {took:.1f}s",
     )
 
 

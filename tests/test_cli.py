@@ -238,10 +238,24 @@ def test_tower_depth_two_over_budget(capsys):
         ["omni", "--dstage", "C2", "--bound", "2", "2", "--h-bound", "0"],
         ["reduce", "GRAPH", "--p", "3", "--h-bound", "0"],
         ["tower", "--absorption-sample", "-3"],
+        ["extend", "GRAPH", "--budget-vertices", "0"],
+        ["reduce", "GRAPH", "--p", "3", "--budget-vertices", "0"],
+        ["tower", "--budget-points", "0"],
+        ["reduce", "GRAPH", "--p", "3", "--budget-points", "-5"],
+        ["iso", "C2", "C2", "--budget-enum", "0"],
+        ["lift", "C2", "C2", "--budget-enum", "0"],
+        ["omni", "C2", "--bound", "2", "2", "--budget-enum", "0"],
+        ["omni", "--dstage", "C2", "--bound", "2", "2", "--budget-enum", "0"],
+        ["tower", "--budget-enum", "-1"],
+        ["reduce", "GRAPH", "--p", "3", "--budget-enum", "0"],
     ],
     ids=["extend-depth-k", "tower-depth-d", "omni-max-g", "omni-dstage-max-g",
          "reduce-depth-d", "reduce-depth-k", "reduce-max-g", "omni-h-bound",
-         "omni-dstage-h-bound", "reduce-h-bound", "tower-absorption-sample"],
+         "omni-dstage-h-bound", "reduce-h-bound", "tower-absorption-sample",
+         "extend-budget-vertices", "reduce-budget-vertices", "tower-budget-points",
+         "reduce-budget-points", "iso-budget-enum", "lift-budget-enum",
+         "omni-budget-enum", "omni-dstage-budget-enum", "tower-budget-enum",
+         "reduce-budget-enum"],
 )
 def test_bad_depth_or_bound_exits_2_before_any_work(tmp_path, capsys, argv):
     files = {

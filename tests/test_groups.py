@@ -352,6 +352,39 @@ def test_enumerated_hom_tables_match_reference():
         assert homs
         for hom in homs:
             assert_table_matches_reference(hom)
+    # domains that subgroups_containing and brute_iso build
+    for h in subgroups_containing(symmetric_group(4), [Perm((1, 0, 2, 3))], 8):
+        homs = enumerate_homs(h, cat["S3"])
+        assert homs
+        for hom in homs:
+            assert_table_matches_reference(hom)
+    for f, g in [("Q8", "Q8"), ("S3", "S3"), ("C4xC2", "C4xC2")]:
+        assert_table_matches_reference(brute_iso(cat[f], cat[g]))
+
+
+def _walk_groups():
+    for g in (symmetric_group(4), alternating_group(5),
+              direct_sum(cyclic_group(2), alternating_group(5)).group, quaternion_group()):
+        yield g
+        proper = [h for h in subgroups_containing(g, g.gens[:1], 12) if h.order() < g.order()]
+        yield proper[-1]
+
+
+@pytest.mark.parametrize("g", list(_walk_groups()), ids=lambda g: f"{g.label()}|{g.order()}")
+def test_one_walk_gives_elements_positions_steps_and_tree(g):
+    ix = g._indexed()
+    els = ix.elements
+    assert els[0].is_identity() and len(els) == g.order()
+    assert list(els) == closure_elements(g.gens, g.degree)
+    assert all(ix.pos[x] == i for i, x in enumerate(els))
+    assert ix.right.shape == (len(g.gens), len(els))
+    for k, s in enumerate(g.gens):
+        for i, x in enumerate(els):
+            assert els[ix.right[k, i]] == x * s
+    # the tree reaches every position but 0 exactly once, from an earlier one
+    assert sorted(i for _, i, _ in ix.tree) == list(range(1, len(els)))
+    for a, i, k in ix.tree:
+        assert a < i and els[i] == els[a] * g.gens[k]
 
 
 SMALL_GROUPS = [cyclic_group(4), klein_four_group(), symmetric_group(3), dihedral_group(4),
@@ -384,19 +417,6 @@ def test_corrupted_cayley_image_is_refused():
         _reference_mapping(broken)
     with pytest.raises(ValueError, match="do not define a homomorphism"):
         broken.verify()
-
-
-def test_hom_table_seeds_from_the_identity_position():
-    s3 = symmetric_group(3)
-    els = s3.elements()
-    shuffled = els[3:] + els[:3]
-    dom = PermGroup.from_elements(3, s3.gens, shuffled)
-    assert not dom.elements()[0].is_identity()
-    f = cayley_embedding_even(s3)
-    assert_table_matches_reference(Hom(dom, f.codomain, f.gen_images))
-    c2 = cyclic_group(2)
-    sign = [c2.identity() if g.is_even() else c2.gens[0] for g in s3.gens]
-    assert_table_matches_reference(Hom(dom, c2, sign))
 
 
 def test_conjugacy_classes_and_center():
@@ -433,6 +453,16 @@ def test_normal_closure_classics():
     assert normal_closure(s4, Perm((1, 2, 0, 3))).order() == 12
     a5 = alternating_group(5)
     assert normal_closure(a5, Perm.from_cycles(5, (0, 1, 2))).order() == 60
+
+
+def test_normal_closure_inherits_the_parent_budget():
+    s4 = symmetric_group(4)
+    s4.elements()  # enumerated under the default budget, then tightened
+    s4.enum_budget = 11
+    v4 = normal_closure(s4, Perm((1, 0, 3, 2)))
+    assert v4.order() == 4 and v4.enum_budget == 11
+    with pytest.raises(EnumerationBudgetError):  # a transposition's closure is S4
+        normal_closure(s4, Perm((1, 0, 2, 3)))
 
 
 def test_simplicity():
@@ -535,7 +565,7 @@ def test_lazy_cayley_table_holds_true_products():
     # the table is filled on first use: a small bound takes few products
     s4 = symmetric_group(4)
     subgroups(s4, 2)
-    els, _, table = s4._indexed()
+    els, table = s4.elements(), s4._indexed().table
     small = sum(len(row) for row in table)
     subgroups(s4, 24)
     assert 0 < small < sum(len(row) for row in table) <= 24 * 24
