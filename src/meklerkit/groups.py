@@ -169,17 +169,13 @@ def closure_elements(gens, degree: int, maxsize: int | None = None):
 
 def _closure_mask(g: PermGroup, gens, maxsize: int):
     """The bitmask of <gens> over g's element positions, or None past maxsize."""
-    ix = g._indexed()
-    els, pos, table = ix.elements, ix.pos, ix.table
+    product = g._indexed().product
     frontier, mask, size = [0], 1, 1  # position 0 is the identity
     while frontier:
         fresh = []
         for a in frontier:
-            row = table[a]
             for b in gens:
-                c = row.get(b)
-                if c is None:  # each product is taken once, on first use
-                    c = row[b] = pos[els[a] * els[b]]
+                c = product(a, b)
                 if not mask >> c & 1:
                     mask |= 1 << c
                     fresh.append(c)
@@ -198,6 +194,14 @@ class _Index(NamedTuple):
     table: list      # product table on positions, filled on first use
     right: np.ndarray  # right[k, i]: position of elements[i] * gens[k]
     tree: list       # (a, i, k): the walk's step that first reached i
+
+    def product(self, a: int, b: int) -> int:
+        """The position of elements[a] * elements[b], one `Perm` product on first use."""
+        row = self.table[a]
+        c = row.get(b)
+        if c is None:
+            c = row[b] = self.pos[self.elements[a] * self.elements[b]]
+        return c
 
 
 class PermGroup:
@@ -681,13 +685,23 @@ def derived_subgroup_elements(g: PermGroup) -> tuple[Perm, ...]:
     return tuple(closed)
 
 
+def _normal_closure_mask(g: PermGroup, x: Perm) -> tuple[list[Perm], int]:
+    """x's conjugates in g and the mask of the subgroup they generate in g."""
+    conjugates = _conjugates(g, x)
+    pos = g._indexed().pos
+    mask = _closure_mask(g, [pos[y] for y in conjugates], g.enum_budget)
+    if mask is None:
+        raise EnumerationBudgetError(f"normal closure exceeded budget {g.enum_budget}")
+    return conjugates, mask
+
+
 def normal_closure(g: PermGroup, x: Perm) -> PermGroup:
-    """Smallest normal subgroup of g containing x."""
+    """Smallest normal subgroup of g containing x, generated by x's conjugates."""
     if x not in g:
         raise ValueError("element outside the group")
-    nc = PermGroup(g.degree, _conjugates(g, x), enum_budget=g.enum_budget)
-    nc.elements()  # raises EnumerationBudgetError past g's budget
-    return nc
+    conjugates, mask = _normal_closure_mask(g, x)
+    return PermGroup(g.degree, conjugates, known_order=mask.bit_count(),
+                     enum_budget=g.enum_budget)
 
 
 @dataclass(frozen=True)
@@ -720,23 +734,35 @@ def subgroups_containing(
     element set.  The lattice is built once per group, up to the largest bound
     asked, as bitmasks of element positions; each call reruns the search from
     <seed_gens> on the masks alone, so H's generators are seed_gens + path.
+    The build closes <K, x> once per coset Kx, for its first x, since
+    <K, kx> = <K, x>, and never when lcm(|K|, ord x) passes the bound.
     """
-    els = g.elements()
+    ix = g._indexed()
+    els, pos = ix.elements, ix.pos
     bound = min(order_bound, len(els))
     if g._lattice[0] < bound:
+        orders = [x.order() for x in els]
         found = {1: ()}  # the trivial subgroup: position 0 alone
         queue = list(found)
         for mask in queue:
+            ks = [k for k in range(len(els)) if mask >> k & 1]
+            done = mask
             for x in range(len(els)):
+                if done >> x & 1:
+                    continue
+                for k in ks:  # mark the coset Kx, whose elements all give <K, x>
+                    done |= 1 << ix.product(k, x)
+                if math.lcm(len(ks), orders[x]) > bound:
+                    continue
                 gens = found[mask] + (x,)
-                bigger = not mask >> x & 1 and _closure_mask(g, gens, bound)
+                bigger = _closure_mask(g, gens, bound)
                 if bigger and bigger not in found:
                     found[bigger] = gens
                     queue.append(bigger)
         found = sorted(found, key=lambda m: (m.bit_count(), sorted(
             els[i].images for i in range(len(els)) if m >> i & 1)))
         g._lattice = (bound, found)
-    seed = tuple(g._indexed().pos[x] for x in seed_gens)
+    seed = tuple(pos[x] for x in seed_gens)
     base = _closure_mask(g, seed, order_bound)
     if base is None:
         return []

@@ -25,11 +25,11 @@ from .groups import (
     Hom,
     Perm,
     PermGroup,
+    _normal_closure_mask,
     brute_iso,
     cayley_embedding_even,
     direct_sum,
     is_simple,
-    normal_closure,
     quotient_group,
     verify_hom_table,
 )
@@ -267,9 +267,10 @@ def check_normal_absorption(
         raise ValueError("element is not in the requested stage")
     da = tower.base.degree
     h_trivial = all(x.images[i] == i for i in range(da, g.degree))
-    closure = normal_closure(g, x)
-    kernel = kernel_at_stage(sys, stage)
-    contains = kernel <= closure.element_set()
+    pos = g._indexed().pos
+    closure = _normal_closure_mask(g, x)[1]
+    kernel = sum(1 << pos[k] for k in kernel_at_stage(sys, stage))
+    contains = not kernel & ~closure
     note = None
     if h_trivial and not contains:
         next_enumerable = (
@@ -284,5 +285,5 @@ def check_normal_absorption(
                 f"next stage closure contains kernel: {rep.contains_kernel}"
             )
     return AbsorptionReport(
-        stage, x, h_trivial, closure.order(), contains, note
+        stage, x, h_trivial, closure.bit_count(), contains, note
     )

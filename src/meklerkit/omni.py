@@ -17,6 +17,7 @@ from .groups import (
     Hom,
     Perm,
     PermGroup,
+    _closure_mask,
     _homs,
     _order_pool,
     automorphisms,
@@ -239,10 +240,14 @@ def omni_audit(
     auts_cache = {}
     block_group = None
     if h_block is not None:
-        # gamma's identity leads the list, so the walk over it keeps this order
-        block_list = [x for x in gamma.elements() if x in h_block]
-        block_group = PermGroup(gamma.degree, block_list, known_order=len(block_list),
-                                enum_budget=gamma.enum_budget)
+        # greedy generators: each block element in gamma's order not yet reached
+        block_gens, mask = [], 1
+        for i, x in enumerate(gamma.elements()):
+            if x in h_block and not mask >> i & 1:
+                block_gens.append(i)
+                mask = _closure_mask(gamma, block_gens, gamma.order())
+        block_group = PermGroup(gamma.degree, [gamma.elements()[i] for i in block_gens],
+                                known_order=mask.bit_count(), enum_budget=gamma.enum_budget)
 
     rows = []
     for f_sub in subgroups(gamma, max_f):

@@ -30,6 +30,7 @@ from meklerkit import (
     build_D,
     cayley_embedding_even,
     center_elements,
+    check_normal_absorption,
     closure_elements,
     conjugacy_classes,
     cyclic_group,
@@ -465,6 +466,23 @@ def test_normal_closure_inherits_the_parent_budget():
         normal_closure(s4, Perm((1, 0, 2, 3)))
 
 
+def test_normal_closure_against_sympy():
+    # stage 0 of the default tower, C2 (+) Alt(5)
+    sys_d = build_D(make_cayley_tower(cyclic_group(2), alternating_group(5), 0))
+    stage = sys_d.stages[0]
+    for g in [symmetric_group(4), dihedral_group(5), quaternion_group(),
+              alternating_group(5), stage]:
+        oracle = PermutationGroup([Permutation(list(s.images)) for s in g.gens])
+        for x in g.elements():
+            want = {Perm(tuple(p.array_form)) for p in
+                    oracle.normal_closure(Permutation(list(x.images))).elements}
+            got = normal_closure(g, x)
+            assert got.element_set() == want and got.order() == len(want), (g, x)
+            if g is stage and not x.is_identity():
+                rep = check_normal_absorption(sys_d, 0, x)
+                assert rep.closure_order == len(want), x
+
+
 def test_simplicity():
     assert is_simple(alternating_group(5)).simple
     assert not is_simple(symmetric_group(3)).simple
@@ -572,6 +590,74 @@ def test_lazy_cayley_table_holds_true_products():
     for a, row in enumerate(table):
         for b, c in row.items():
             assert els[a] * els[b] == els[c]
+
+
+def _unpruned_subgroups_containing(g, seed_gens, order_bound):
+    """The cyclic-extension search with every <K, x> closed, as reference.
+
+    Closures are element sets from `closure_elements`, read as position masks.
+    """
+    els = g.elements()
+    pos = {x: i for i, x in enumerate(els)}
+    bound = min(order_bound, len(els))
+
+    def close(gens, maxsize):
+        closed = closure_elements([els[i] for i in gens], g.degree, maxsize)
+        return closed and sum(1 << pos[y] for y in closed)
+
+    found = {1: ()}
+    queue = list(found)
+    for mask in queue:
+        for x in range(len(els)):
+            gens = found[mask] + (x,)
+            bigger = not mask >> x & 1 and close(gens, bound)
+            if bigger and bigger not in found:
+                found[bigger] = gens
+                queue.append(bigger)
+    lattice = sorted(found, key=lambda m: (m.bit_count(), sorted(
+        els[i].images for i in range(len(els)) if m >> i & 1)))
+    seed = tuple(pos[x] for x in seed_gens)
+    base = close(seed, order_bound)
+    if base is None:
+        return []
+    kept = [m for m in lattice if m.bit_count() <= order_bound and not base & ~m]
+    paths, queue = {base: seed}, [base]
+    for k in queue:
+        taken, steps = k, []
+        for m in kept:
+            if not k & ~m and (fresh := m & ~taken):
+                steps.append(((fresh & -fresh).bit_length() - 1, m))
+                taken |= m
+        for x, m in sorted(steps):
+            if m not in paths:
+                paths[m] = paths[k] + (x,)
+                queue.append(m)
+    return [([els[i] for i in paths[m]], [els[i] for i in range(len(els)) if m >> i & 1])
+            for m in kept]
+
+
+def _same_search(make, seed_gens, bound):
+    got = subgroups_containing(make(), seed_gens, bound)
+    want = _unpruned_subgroups_containing(make(), seed_gens, bound)
+    assert len(got) == len(want)
+    for h, (gens, members) in zip(got, want):
+        assert h.gens == tuple(gens)
+        assert set(h.elements()) == set(members) and h.order() == len(members)
+        assert h.elements() == tuple(closure_elements(gens, h.degree))
+
+
+def test_pruned_lattice_matches_the_unpruned_search():
+    # skipping x past the lcm bound and all but one x per coset Kx keeps
+    # every mask, its place in the order and the first path to it
+    for make in [lambda: symmetric_group(4), lambda: dihedral_group(4),
+                 quaternion_group, lambda: cyclic_group(12), lambda: alternating_group(4)]:
+        for bound in range(1, make().order() + 1):
+            _same_search(make, [], bound)
+    stage = direct_sum(cyclic_group(2), alternating_group(5)).group
+    for seed in ([], [stage.gens[0]], [stage.gens[1]]):
+        for bound in (2, 6, 12):
+            _same_search(lambda: direct_sum(cyclic_group(2), alternating_group(5)).group,
+                         seed, bound)
 
 
 def test_brute_iso_positive():
