@@ -186,6 +186,16 @@ def _closure_mask(g: PermGroup, gens, maxsize: int):
     return mask
 
 
+def _greedy_generators(g: PermGroup, candidates) -> tuple[list[int], int]:
+    """Each candidate position not yet reached, in order, and the mask they generate."""
+    gens, mask, size = [], 1, len(g.elements())
+    for c in candidates:
+        if not mask >> c & 1:
+            gens.append(c)
+            mask = _closure_mask(g, gens, size)
+    return gens, mask
+
+
 class _Index(NamedTuple):
     """A group's one index, from one `_closure` walk over its generators."""
 
@@ -540,7 +550,8 @@ class Hom:
         return tuple(Perm._make(tuple(table[i].tolist())) for i in first.values())
 
     def is_surjective(self) -> bool:
-        return set(self.image_elements()) == self.codomain.element_set()
+        # the image is a subgroup of the codomain, so it is onto when it is as large
+        return len({row.tobytes() for row in self.mapping.table}) == self.codomain.order()
 
     def kernel_elements(self) -> tuple[Perm, ...]:
         els = self.domain.elements()
@@ -639,12 +650,15 @@ def _homs(domain: PermGroup, codomain: PermGroup, pools):
 # structural queries
 # ---------------------------------------------------------------------------
 
-def _conjugates(g: PermGroup, x: Perm) -> list[Perm]:
-    """The conjugacy class of x, in the order a FIFO walk over g.gens finds it."""
-    orbit, seen = [x], {x}
+def _conjugates(g: PermGroup, i: int) -> list[int]:
+    """Positions of the class of elements[i], in the order a FIFO walk over g.gens finds them."""
+    ix = g._indexed()
+    product = ix.product
+    steps = [(ix.pos[s], ix.pos[~s]) for s in g.gens]
+    orbit, seen = [i], {i}
     for y in orbit:
-        for s in g.gens:
-            z = s * y * ~s
+        for s, s_inv in steps:
+            z = product(product(s, y), s_inv)  # s y s^-1
             if z not in seen:
                 seen.add(z)
                 orbit.append(z)
@@ -653,13 +667,14 @@ def _conjugates(g: PermGroup, x: Perm) -> list[Perm]:
 
 def conjugacy_classes(g: PermGroup) -> list[tuple[Perm, ...]]:
     """Conjugacy classes in deterministic order (by first element found)."""
+    els = g.elements()
     seen = set()
     classes = []
-    for x in g.elements():
-        if x not in seen:
-            orbit = _conjugates(g, x)
+    for i in range(len(els)):
+        if i not in seen:
+            orbit = _conjugates(g, i)
             seen.update(orbit)
-            classes.append(tuple(sorted(orbit)))
+            classes.append(tuple(sorted(els[j] for j in orbit)))
     return classes
 
 
@@ -669,39 +684,32 @@ def center_elements(g: PermGroup) -> tuple[Perm, ...]:
 
 
 def derived_subgroup_elements(g: PermGroup) -> tuple[Perm, ...]:
-    els = g.elements()
-    comms = []
-    seen = set()
-    for a in els:
-        for b in g.gens:
-            c = ~a * ~b * a * b
-            if c not in seen:
-                seen.add(c)
-                comms.append(c)
-    closed = closure_elements(comms, g.degree, maxsize=g.enum_budget)
-    if closed is None:
-        raise EnumerationBudgetError("derived subgroup exceeded element budget")
-    # commutators of generators with all elements generate the derived subgroup
-    return tuple(closed)
+    """G' in g's position order: the normal closure of the generators' commutators."""
+    comms = [~a * ~b * a * b for a, b in itertools.combinations(g.gens, 2)]
+    mask = _normal_closure_mask(g, comms)[1]
+    return tuple(x for i, x in enumerate(g.elements()) if mask >> i & 1)
 
 
-def _normal_closure_mask(g: PermGroup, x: Perm) -> tuple[list[Perm], int]:
-    """x's conjugates in g and the mask of the subgroup they generate in g."""
-    conjugates = _conjugates(g, x)
+def _normal_closure_mask(g: PermGroup, xs) -> tuple[list[int], int]:
+    """Positions of the conjugates of xs in g, and the mask of the subgroup they generate."""
     pos = g._indexed().pos
-    mask = _closure_mask(g, [pos[y] for y in conjugates], g.enum_budget)
-    if mask is None:
+    conjugates = {}  # an ordered set; two classes are equal or disjoint
+    for x in xs:
+        if pos[x] not in conjugates:
+            conjugates.update(dict.fromkeys(_conjugates(g, pos[x])))
+    mask = _greedy_generators(g, conjugates)[1]
+    if mask.bit_count() > g.enum_budget:
         raise EnumerationBudgetError(f"normal closure exceeded budget {g.enum_budget}")
-    return conjugates, mask
+    return list(conjugates), mask
 
 
 def normal_closure(g: PermGroup, x: Perm) -> PermGroup:
     """Smallest normal subgroup of g containing x, generated by x's conjugates."""
     if x not in g:
         raise ValueError("element outside the group")
-    conjugates, mask = _normal_closure_mask(g, x)
-    return PermGroup(g.degree, conjugates, known_order=mask.bit_count(),
-                     enum_budget=g.enum_budget)
+    conjugates, mask = _normal_closure_mask(g, [x])
+    return PermGroup(g.degree, [g.elements()[i] for i in conjugates],
+                     known_order=mask.bit_count(), enum_budget=g.enum_budget)
 
 
 @dataclass(frozen=True)
@@ -813,15 +821,8 @@ def iso_invariant_mismatch(g: PermGroup, h: PermGroup):
 
 def _generating_sequence(g: PermGroup) -> list[Perm]:
     """Greedy small generating sequence from the element list."""
-    seq = []
-    current = {g.identity()}
-    for x in g.elements():
-        if x not in current:
-            seq.append(x)
-            current = set(closure_elements(seq, g.degree, maxsize=g.enum_budget))
-            if len(current) == g.order():
-                break
-    return seq
+    els = g.elements()
+    return [els[i] for i in _greedy_generators(g, range(len(els)))[0]]
 
 
 def _iso_search(g: PermGroup, h: PermGroup):
@@ -853,12 +854,18 @@ def brute_iso(g: PermGroup, h: PermGroup) -> Hom | None:
 def automorphisms(g: PermGroup) -> PermGroup:
     """Automorphism group acting on g's element list by position."""
     ix = g._indexed()
+    degree = len(ix.elements)
     perms = sorted(Perm(tuple(ix.pos[hom.mapping[x]] for x in ix.elements))
                    for hom in _iso_search(g, g))
     if not perms:
         raise AssertionError("identity automorphism missing")
-    # sorted, the identity comes first, so the walk lists perms in this order
-    return PermGroup(len(ix.elements), perms, name=f"Aut({g.label()})",
+    # greedy generators: each automorphism not yet reached; sorted, the identity is first
+    gens, reached = [], {perms[0]}
+    for p in perms:
+        if p not in reached:
+            gens.append(p)
+            reached = set(closure_elements(gens, degree))
+    return PermGroup(degree, gens, name=f"Aut({g.label()})",
                      known_order=len(perms), enum_budget=g.enum_budget)
 
 
@@ -900,24 +907,20 @@ class Quotient:
 def quotient_group(g: PermGroup, normal_elements) -> Quotient:
     """Quotient by a normal subgroup, as the regular action on cosets."""
     nset = frozenset(normal_elements)
-    for s in g.gens:
-        for x in nset:
-            if s * x * ~s not in nset:
-                raise ValueError("subgroup is not normal")
+    pos = g._indexed().pos
+    if not all(x in pos for x in nset):
+        raise ValueError("subgroup is not inside the group")
+    # a normal subgroup is exactly a set that equals its own normal closure
+    if _normal_closure_mask(g, nset)[1] != sum(1 << pos[x] for x in nset):
+        raise ValueError("not a normal subgroup")
     assigned = {}
     cosets = []
     for x in g.elements():
-        if x in assigned:
-            continue
-        coset = frozenset(x * k for k in nset)
-        idx = len(cosets)
-        cosets.append(coset)
-        for y in coset:
-            assigned[y] = idx
+        if x not in assigned:
+            cosets.append(frozenset(x * k for k in nset))
+            assigned.update(dict.fromkeys(cosets[-1], len(cosets) - 1))
     reps = [min(c) for c in cosets]
-    gens = []
-    for s in g.gens:
-        gens.append(Perm(tuple(assigned[s * reps[i]] for i in range(len(cosets)))))
+    gens = [Perm(tuple(assigned[s * r] for r in reps)) for s in g.gens]
     grp = PermGroup(len(cosets), gens, known_order=len(cosets))
     return Quotient(grp, tuple(cosets), assigned)
 

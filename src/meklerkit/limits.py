@@ -268,7 +268,7 @@ def check_normal_absorption(
     da = tower.base.degree
     h_trivial = all(x.images[i] == i for i in range(da, g.degree))
     pos = g._indexed().pos
-    closure = _normal_closure_mask(g, x)[1]
+    closure = _normal_closure_mask(g, [x])[1]
     kernel = sum(1 << pos[k] for k in kernel_at_stage(sys, stage))
     contains = not kernel & ~closure
     note = None

@@ -18,6 +18,7 @@ from .groups import (
     Perm,
     PermGroup,
     _closure_mask,
+    _greedy_generators,
     _homs,
     _order_pool,
     automorphisms,
@@ -215,6 +216,12 @@ def _psi_orbit_representatives(f_sub: PermGroup, g_grp: PermGroup, auts: PermGro
     return [reps[k] for k in sorted(reps)]
 
 
+def _extending_generator(g: PermGroup, image: list[int]) -> int | None:
+    """The first position c of g with <image, c> = g, or None."""
+    n = len(g.elements())
+    return next((c for c in range(n) if _closure_mask(g, image + [c], n) == (1 << n) - 1), None)
+
+
 def omni_audit(
     gamma: PermGroup,
     max_f: int,
@@ -240,12 +247,8 @@ def omni_audit(
     auts_cache = {}
     block_group = None
     if h_block is not None:
-        # greedy generators: each block element in gamma's order not yet reached
-        block_gens, mask = [], 1
-        for i, x in enumerate(gamma.elements()):
-            if x in h_block and not mask >> i & 1:
-                block_gens.append(i)
-                mask = _closure_mask(gamma, block_gens, gamma.order())
+        block_gens, mask = _greedy_generators(
+            gamma, [i for i, x in enumerate(gamma.elements()) if x in h_block])
         block_group = PermGroup(gamma.degree, [gamma.elements()[i] for i in block_gens],
                                 known_order=mask.bit_count(), enum_budget=gamma.enum_budget)
 
@@ -261,16 +264,10 @@ def omni_audit(
             g_els, g_pos = g_ref.elements(), g_ref._indexed().pos
             embeds_in_block = None  # computed lazily per (F in block, no witness)
             for psi in _psi_orbit_representatives(f_sub, g_ref, auts):
-                image = [psi(x) for x in f_sub.gens]
-                gen = None
-                for cand in g_els:
-                    closed = closure_elements(image + [cand], g_ref.degree)
-                    if len(closed) == g_ref.order():
-                        gen = cand
-                        break
+                gen = _extending_generator(g_ref, [g_pos[psi(x)] for x in f_sub.gens])
                 if gen is None:
                     continue  # not a single-generator extension of psi(F)
-                query = OmniQuery(gamma, f_sub, g_ref, psi, gen)
+                query = OmniQuery(gamma, f_sub, g_ref, psi, g_els[gen])
                 witness = omni_check(query, search_bound)
                 flag = ""
                 if witness is None and f_in_block:

@@ -313,6 +313,16 @@ def test_omni_dstage_is_the_reduce_stage0_audit(tmp_path, capsys):
     assert hashlib.sha256(out.encode()).hexdigest().startswith("462af7f00403")
 
 
+def test_omni_dstage_report_through_order_11_is_pinned(tmp_path, capsys):
+    # orders 7-11 of the catalog run the single-generator search on masks too
+    grp = write(tmp_path, "c2.txt", C2_GROUP)
+    code = main(["omni", "--dstage", grp, "--bound", "2", "11", "--h-bound", "12"])
+    assert code == 1
+    out = capsys.readouterr().out
+    assert "\nrows: 321\nunwitnessed: 191\n" in out
+    assert hashlib.sha256(out.encode()).hexdigest().startswith("a29a7b36c4fd")
+
+
 @pytest.mark.parametrize("command", ["mekler", "center", "recover", "reduce"])
 def test_non_prime_p_exits_2(tmp_path, capsys, command):
     src = write(tmp_path, "c5.txt", C5)

@@ -56,6 +56,7 @@ from meklerkit import (
     trivial_group,
     verify_hom_table,
 )
+from meklerkit.groups import _generating_sequence, _greedy_generators, _iso_search
 
 
 def test_perm_composition_convention():
@@ -275,6 +276,18 @@ def test_hom_verify_and_kernel():
     assert sign.is_surjective()
 
 
+def test_is_surjective_never_enumerates_the_codomain():
+    # the regular embedding of S3 lands in Alt(8), 20,160 elements, past the budget
+    f = cayley_embedding_even(symmetric_group(3))
+    assert f.codomain.order() > f.codomain.enum_budget
+    assert not f.is_surjective()
+    with pytest.raises(EnumerationBudgetError):
+        f.codomain.elements()
+    s4 = symmetric_group(4)
+    to_s3 = quotient_group(s4, [x for x in s4.elements() if x.order() <= 2 and x.is_even()])
+    assert Hom(s4, to_s3.group, to_s3.group.gens).is_surjective()
+
+
 def test_hom_rejects_non_homomorphism():
     c3, c2 = cyclic_group(3), cyclic_group(2)
     bad = Hom(c3, c2, [c2.gens[0]])
@@ -445,6 +458,43 @@ def test_derived_subgroups():
     els = g.elements()
     comms = {(~a) * (~b) * a * b for a in els for b in els}
     assert comms <= set(derived_subgroup_elements(g))
+
+
+def _sympy_perms(elements):
+    return {Perm(tuple(p.array_form)) for p in elements}
+
+
+def _perm_conjugates(g, x):
+    """The old Perm walk: x's class in the order a FIFO walk over g.gens finds it."""
+    orbit, seen = [x], {x}
+    for y in orbit:
+        for s in g.gens:
+            z = s * y * ~s
+            if z not in seen:
+                seen.add(z)
+                orbit.append(z)
+    return orbit
+
+
+def test_classes_center_and_derived_subgroup_against_sympy():
+    stage = build_D(make_cayley_tower(cyclic_group(2), alternating_group(5), 0)).stages[0]
+    for g in [symmetric_group(4), dihedral_group(5), quaternion_group(),
+              alternating_group(5), stage]:
+        oracle = PermutationGroup([Permutation(list(s.images)) for s in g.gens])
+        els = g.elements()
+        pos = {x: i for i, x in enumerate(els)}
+        classes = conjugacy_classes(g)
+        assert sorted(map(set, classes), key=min) == sorted(
+            map(_sympy_perms, oracle.conjugacy_classes()), key=min)
+        assert all(list(c) == sorted(c) for c in classes)
+        firsts = [min(pos[x] for x in c) for c in classes]
+        assert firsts == sorted(firsts), g  # listed by first element found
+        assert set(center_elements(g)) == _sympy_perms(oracle.center().elements)
+        derived = derived_subgroup_elements(g)
+        assert set(derived) == _sympy_perms(oracle.derived_subgroup().elements), g
+        assert list(derived) == [x for x in els if x in set(derived)]
+        for x in els:  # normal closures are generated by the old walk's class, in its order
+            assert normal_closure(g, x).gens == tuple(_perm_conjugates(g, x))
 
 
 def test_normal_closure_classics():
@@ -710,6 +760,23 @@ def test_automorphism_counts_against_oracle():
             assert expected == sum(1 for _ in all_bijective_homs(g, g))
 
 
+def test_automorphism_group_has_greedy_generators_and_every_automorphism():
+    for g in small_groups_catalog(11):
+        pos = g._indexed().pos
+        perms = sorted(Perm(tuple(pos[hom(x)] for x in g.elements()))
+                       for hom in _iso_search(g, g))
+        auts = automorphisms(g)
+        assert auts.order() == len(perms) and sorted(auts.elements()) == perms
+        # the old literal choice: each sorted automorphism not yet reached
+        gens, reached = [], {perms[0]}
+        for p in perms:
+            if p not in reached:
+                gens.append(p)
+                reached = set(closure_elements(gens, len(perms[0].images)))
+        assert list(auts.gens) == gens
+    assert len(automorphisms(small_groups_catalog(8)[11]).gens) == 4  # C2^3: 168 auts
+
+
 def test_automorphisms_form_group_on_element_indices():
     g = klein_four_group()
     auts = automorphisms(g)
@@ -763,6 +830,22 @@ def test_quotients():
         quotient_group(s3, frozenset([Perm((0, 1, 2)), Perm((1, 0, 2))]))
 
 
+def test_quotient_refuses_what_is_not_a_normal_subgroup():
+    s3, s4 = symmetric_group(3), symmetric_group(4)
+    three_cycles = [x for x in s3.elements() if x.order() == 3]
+    double_transpositions = [x for x in s4.elements() if x.order() == 2 and x.is_even()]
+    assert len(three_cycles) == 2 and len(double_transpositions) == 3
+    c4 = cyclic_group(4)
+    for g, normal in [(s3, three_cycles), (s4, double_transpositions),
+                      (s3, [s3.identity(), Perm((1, 0, 2))]),  # a subgroup, not normal
+                      (s3, []),
+                      (c4, [c4.identity(), Perm((1, 0, 3, 2))]),  # outside C4
+                      (s3, [Perm.identity(4)])]:  # outside S3: another degree
+        with pytest.raises(ValueError):
+            quotient_group(g, normal)
+    assert quotient_group(s4, double_transpositions + [s4.identity()]).group.order() == 6
+
+
 def test_quotient_projection_is_hom():
     s3 = symmetric_group(3)
     a3 = frozenset(p for p in s3.elements() if p.is_even())
@@ -798,6 +881,36 @@ def test_enumerate_homs_counts():
         cyclic_group(3), symmetric_group(3), injective_only=True
     )
     assert len(injective) == 2
+
+
+def _literal_generating_sequence(g):
+    """The old Perm-level greedy choice, closing each prefix with closure_elements."""
+    seq, current = [], {g.identity()}
+    for x in g.elements():
+        if x not in current:
+            seq.append(x)
+            current = set(closure_elements(seq, g.degree))
+            if len(current) == g.order():
+                break
+    return seq
+
+
+def test_generating_sequence_matches_the_literal_greedy_choice():
+    for g in small_groups_catalog(11):
+        assert _generating_sequence(g) == _literal_generating_sequence(g), g.label()
+    stage = direct_sum(cyclic_group(2), alternating_group(5)).group
+    assert _generating_sequence(stage) == _literal_generating_sequence(stage)
+    # a candidate subset, as the omni block group passes it: the {e} x Alt(5) block
+    els = stage.elements()
+    block = [i for i, x in enumerate(els) if x.images[:2] == (0, 1)]
+    gens, mask = _greedy_generators(stage, block)
+    want, reached = [], {stage.identity()}
+    for i in block:
+        if els[i] not in reached:
+            want.append(i)
+            reached = set(closure_elements([els[j] for j in want], stage.degree))
+    assert gens == want and mask == sum(1 << els.index(x) for x in reached)
+    assert mask.bit_count() == 60
 
 
 def test_catalog_complete_and_pairwise_distinct():

@@ -14,6 +14,7 @@ from meklerkit import (
     PermGroup,
     alternating_group,
     build_D,
+    closure_elements,
     cyclic_group,
     enumerate_homs,
     kernel_at_stage,
@@ -28,6 +29,7 @@ from meklerkit import (
     trivial_group,
     verify_hom_table,
 )
+from meklerkit.omni import _extending_generator
 
 
 def test_lift_every_hom_in_catalog():
@@ -194,6 +196,25 @@ def test_audit_report_bytes_pinned():
     )
     digest = hashlib.sha256(rep.format_text().encode("utf-8")).hexdigest()
     assert digest.startswith("bf207a6b4262")
+
+
+def _literal_extending_generator(g, image):
+    """The old Perm-level choice: the first element whose closure with image is g."""
+    for cand in g.elements():
+        if len(closure_elements(image + [cand], g.degree)) == g.order():
+            return cand
+    return None
+
+
+def test_extending_generator_matches_the_literal_choice():
+    for g in small_groups_catalog(11):
+        els = g.elements()
+        n = len(els)
+        pairs = [list(p) for p in itertools.combinations(range(n), 2)]
+        for image in [[]] + [[a] for a in range(n)] + pairs:
+            got = _extending_generator(g, image)
+            want = _literal_extending_generator(g, [els[i] for i in image])
+            assert (None if got is None else els[got]) == want, (g.label(), image)
 
 
 def test_audit_respects_lagrange_pruning_soundness():
