@@ -169,13 +169,13 @@ def closure_elements(gens, degree: int, maxsize: int | None = None):
 
 def _closure_mask(g: PermGroup, gens, maxsize: int):
     """The bitmask of <gens> over g's element positions, or None past maxsize."""
-    product = g._indexed().product
+    rows = list(map(g._indexed().row, gens))  # <gens> is closed under b * a for b in gens
     frontier, mask, size = [0], 1, 1  # position 0 is the identity
     while frontier:
         fresh = []
         for a in frontier:
-            for b in gens:
-                c = product(a, b)
+            for row in rows:
+                c = row[a]
                 if not mask >> c & 1:
                     mask |= 1 << c
                     fresh.append(c)
@@ -201,17 +201,30 @@ class _Index(NamedTuple):
 
     elements: tuple
     pos: dict        # Perm -> position; position 0 is the identity
-    table: list      # product table on positions, filled on first use
-    right: np.ndarray  # right[k, i]: position of elements[i] * gens[k]
+    right: list      # right[k][i]: position of elements[i] * gens[k]
     tree: list       # (a, i, k): the walk's step that first reached i
+    rows: list       # rows[a]: row(a) once built, else None
+    undo: list       # undo[k]: the inverse of right[k], once a conjugation needs it
 
-    def product(self, a: int, b: int) -> int:
-        """The position of elements[a] * elements[b], one `Perm` product on first use."""
-        row = self.table[a]
-        c = row.get(b)
-        if c is None:
-            c = row[b] = self.pos[self.elements[a] * self.elements[b]]
-        return c
+    def row(self, a: int) -> list[int]:
+        """Positions of elements[a] * elements[i] for every i, built once along the tree."""
+        r = self.rows[a]
+        if r is None:
+            r = self.rows[a] = [a] * len(self.elements)
+            right = self.right
+            for p, i, k in self.tree:  # elements[a] elements[i] = (elements[a] elements[p]) gens[k]
+                r[i] = right[k][r[p]]
+        return r
+
+    def conjugators(self) -> list[tuple[list[int], list[int]]]:
+        """(row(s), undo[k]) for each generator s = gens[k]: s y s^-1 is undo[k][row(s)[y]]."""
+        if not self.undo:
+            for r in self.right:
+                inv = [0] * len(r)
+                for i, c in enumerate(r):
+                    inv[c] = i
+                self.undo.append(inv)
+        return [(self.row(r[0]), inv) for r, inv in zip(self.right, self.undo)]
 
 
 class PermGroup:
@@ -273,8 +286,7 @@ class PermGroup:
                     f"enumeration exceeded element budget {self.enum_budget}"
                 )
             els, pos, right, tree = walk
-            right = np.array(right, dtype=np.intp).reshape(len(self.gens), len(els))
-            self._index = _Index(tuple(els), pos, [{} for _ in els], right, tree)
+            self._index = _Index(tuple(els), pos, right, tree, [None] * len(els), [])
         return self._index
 
     def order(self) -> int:
@@ -503,13 +515,14 @@ class Hom:
         for a, y, k in ix.tree:  # f(x g) = f(x) f(g) along the BFS tree
             table[y] = table[a].take(images[k])
         # the complete proof: f(x g) == f(x) f(g) for every x and generator g
+        right = np.array(ix.right, dtype=np.intp).reshape(len(images), rows)
         chunk = _chunk_rows(degree * max(len(images), 1))
         for lo in range(0, rows, chunk):
             want = table[lo:lo + chunk].take(images, axis=1).swapaxes(0, 1)
-            bad = want != table[ix.right[:, lo:lo + chunk]]
+            bad = want != table[right[:, lo:lo + chunk]]
             if bad.any():
                 k, i = np.argwhere(bad.any(axis=2))[0]
-                y = ix.elements[ix.right[k, lo + i]]
+                y = ix.elements[right[k, lo + i]]
                 raise ValueError(
                     f"generator images do not define a homomorphism "
                     f"(conflict at {y!r})"
@@ -541,13 +554,6 @@ class Hom:
     def is_injective(self) -> bool:
         # a hom is injective exactly when its kernel is trivial
         return len(self._kernel_positions()) == 1
-
-    def image_elements(self) -> tuple[Perm, ...]:
-        table = self.mapping.table
-        first = {}
-        for i, row in enumerate(table):
-            first.setdefault(row.tobytes(), i)
-        return tuple(Perm._make(tuple(table[i].tolist())) for i in first.values())
 
     def is_surjective(self) -> bool:
         # the image is a subgroup of the codomain, so it is onto when it is as large
@@ -652,13 +658,11 @@ def _homs(domain: PermGroup, codomain: PermGroup, pools):
 
 def _conjugates(g: PermGroup, i: int) -> list[int]:
     """Positions of the class of elements[i], in the order a FIFO walk over g.gens finds them."""
-    ix = g._indexed()
-    product = ix.product
-    steps = [(ix.pos[s], ix.pos[~s]) for s in g.gens]
+    steps = g._indexed().conjugators()
     orbit, seen = [i], {i}
     for y in orbit:
-        for s, s_inv in steps:
-            z = product(product(s, y), s_inv)  # s y s^-1
+        for row, undo in steps:
+            z = undo[row[y]]  # s y s^-1
             if z not in seen:
                 seen.add(z)
                 orbit.append(z)
@@ -747,20 +751,25 @@ def subgroups_containing(
     """
     ix = g._indexed()
     els, pos = ix.elements, ix.pos
+    if not all(x in pos for x in seed_gens):
+        raise ValueError("element outside the group")
     bound = min(order_bound, len(els))
     if g._lattice[0] < bound:
         orders = [x.order() for x in els]
         found = {1: ()}  # the trivial subgroup: position 0 alone
         queue = list(found)
+        full = (1 << len(els)) - 1
         for mask in queue:
-            ks = [k for k in range(len(els)) if mask >> k & 1]
+            if mask == full:
+                continue  # no coset outside K
+            rows = [ix.row(k) for k in range(len(els)) if mask >> k & 1]
             done = mask
             for x in range(len(els)):
                 if done >> x & 1:
                     continue
-                for k in ks:  # mark the coset Kx, whose elements all give <K, x>
-                    done |= 1 << ix.product(k, x)
-                if math.lcm(len(ks), orders[x]) > bound:
+                for row in rows:  # mark the coset Kx, whose elements all give <K, x>
+                    done |= 1 << row[x]
+                if math.lcm(len(rows), orders[x]) > bound:
                     continue
                 gens = found[mask] + (x,)
                 bigger = _closure_mask(g, gens, bound)
@@ -882,13 +891,9 @@ def cayley_embedding_even(g: PermGroup) -> Hom:
     target = alternating_group(m + 2)
 
     def embed(x: Perm) -> Perm:
-        images = [ix.pos[x * y] for y in ix.elements]
-        base = Perm(images)
-        if base.is_even():
-            images += [m, m + 1]
-        else:
-            images += [m + 1, m]
-        return Perm(images)
+        images = ix.row(ix.pos[x])  # x y for every y
+        tail = [m, m + 1] if Perm._make(tuple(images)).is_even() else [m + 1, m]
+        return Perm(images + tail)
 
     return Hom(g, target, [embed(x) for x in g.gens], name="cayley_even")
 

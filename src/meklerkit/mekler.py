@@ -398,47 +398,35 @@ class PcHom:
         self.source = source
         self.target = target
         self.vertex_map = vm
-        self.monotone = all(vm[i] < vm[i + 1] for i in range(len(vm) - 1))
+        # source non-edge t lands on target pair cols[t]; `flips` are those
+        # the map reverses, vm[x] > vm[y]
+        pairs = [(vm[x], vm[y]) for x, y in source.nonedges]
+        self._cols = np.array([target.pair_index[(min(q), max(q))] for q in pairs],
+                              dtype=np.intp)
+        self._flips = np.array([t for t, (x, y) in enumerate(pairs) if x > y], dtype=np.intp)
 
     def apply(self, u: PcElement) -> PcElement:
         self.source._own(u)
-        if self.monotone:
-            a, b = self._transport(np.array(u.a), np.array(u.b))
-            return self.target.element(a.tolist(), b.tolist())
-        # general injections may reorder vertices; rebuild through the
-        # target arithmetic so collection corrections are never skipped
-        acc = self.target.identity()
-        for x in range(self.source.n):
-            if u.a[x]:
-                acc = acc * self.target.power(
-                    self.target.generator(self.vertex_map[x]), u.a[x]
-                )
-        b = [0] * self.target.num_pairs
-        for (x, y), coeff in zip(self.source.nonedges, u.b):
-            tx, ty = self.vertex_map[x], self.vertex_map[y]
-            if tx < ty:
-                b[self.target.pair_index[(tx, ty)]] += coeff
-            else:
-                b[self.target.pair_index[(ty, tx)]] -= coeff
-        return acc * self.target.element((0,) * self.target.n, b)
+        a, b = self.apply_arrays(u.a, u.b)
+        return self.target.element(a.tolist(), b.tolist())
 
-    def _transport(self, a, b):
-        """Pure coordinate transport; valid when the injection is monotone."""
+    def apply_arrays(self, a, b):
+        """Images of stacked coordinate arrays: ta[vm[x]] = a[x], and non-edge
+        x < y gives its target pair +b_xy, or -b_xy - a_x a_y (mod p) when
+        the map flips it, vm[x] > vm[y].
+
+        A flip reorders the images of g_x and g_y, which costs
+        [g_vm[y], g_vm[x]]^(-a_x a_y) by the collection rule, and turns
+        [g_x, g_y] into the inverse of the target basis commutator.
+        """
+        a, b = np.asarray(a, dtype=np.int64), np.asarray(b, dtype=np.int64)
         ta = np.zeros(a.shape[:-1] + (self.target.n,), dtype=np.int64)
         ta[..., list(self.vertex_map)] = a
         tb = np.zeros(b.shape[:-1] + (self.target.num_pairs,), dtype=np.int64)
-        cols = [
-            self.target.pair_index[(self.vertex_map[x], self.vertex_map[y])]
-            for x, y in self.source.nonedges
-        ]
-        if cols:
-            tb[..., cols] = b
+        tb[..., self._cols] = b
+        f, src = self._flips, self.source
+        tb[..., self._cols[f]] = (-b[..., f] - a[..., src._xs[f]] * a[..., src._ys[f]]) % src.p
         return ta, tb
-
-    def apply_arrays(self, a, b):
-        if not self.monotone:
-            raise ValueError("vectorized transport requires a monotone injection")
-        return self._transport(np.asarray(a), np.asarray(b))
 
 
 def embed_gamma_prime(

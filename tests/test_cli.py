@@ -323,6 +323,18 @@ def test_omni_dstage_report_through_order_11_is_pinned(tmp_path, capsys):
     assert hashlib.sha256(out.encode()).hexdigest().startswith("a29a7b36c4fd")
 
 
+def test_omni_dstage_report_over_s3_is_pinned(tmp_path, capsys):
+    # stage 0 is S3 (+) Alt(5), order 720: the lattice and conjugation rows past C2
+    grp = write(tmp_path, "s3.txt", "p group 3\ng: 1 0 2\ng: 1 2 0\n")
+    code = main(["omni", "--dstage", grp, "--bound", "2", "6", "--h-bound", "12"])
+    assert code == 1
+    out = capsys.readouterr().out
+    assert "\nrows: 321\nunwitnessed: 109\n" in out
+    assert hashlib.sha256(out.encode()).hexdigest() == (
+        "38588a50ae85db776716aa0c5ec1d5e351c2a341cee5871f0d7253bc41283e5b"
+    )
+
+
 @pytest.mark.parametrize("command", ["mekler", "center", "recover", "reduce"])
 def test_non_prime_p_exits_2(tmp_path, capsys, command):
     src = write(tmp_path, "c5.txt", C5)

@@ -327,7 +327,6 @@ def assert_table_matches_reference(hom: Hom) -> None:
     assert hom.is_injective() == (len(set(ref.values())) == len(els))
     ident = hom.codomain.identity()
     assert hom.kernel_elements() == tuple(x for x in els if ref[x] == ident)
-    assert hom.image_elements() == tuple(dict.fromkeys(ref[x] for x in els))
 
 
 def test_hom_table_dtype_and_lookup_contract():
@@ -391,10 +390,11 @@ def test_one_walk_gives_elements_positions_steps_and_tree(g):
     assert els[0].is_identity() and len(els) == g.order()
     assert list(els) == closure_elements(g.gens, g.degree)
     assert all(ix.pos[x] == i for i, x in enumerate(els))
-    assert ix.right.shape == (len(g.gens), len(els))
+    assert len(ix.right) == len(g.gens)
     for k, s in enumerate(g.gens):
+        assert len(ix.right[k]) == len(els) and all(type(c) is int for c in ix.right[k])
         for i, x in enumerate(els):
-            assert els[ix.right[k, i]] == x * s
+            assert els[ix.right[k][i]] == x * s
     # the tree reaches every position but 0 exactly once, from an earlier one
     assert sorted(i for _, i, _ in ix.tree) == list(range(1, len(els)))
     for a, i, k in ix.tree:
@@ -578,6 +578,13 @@ def test_subgroups_respect_bound_and_seed():
     assert any(h.order() == 8 for h in containing)
 
 
+def test_subgroups_containing_refuses_a_seed_outside_the_group():
+    with pytest.raises(ValueError, match="element outside the group"):  # another degree
+        subgroups_containing(symmetric_group(4), [Perm.from_cycles(5, (0, 4))], 24)
+    with pytest.raises(ValueError, match="element outside the group"):  # not in <(0 1 2 3)>
+        subgroups_containing(cyclic_group(4), [Perm.from_cycles(4, (0, 1))], 4)
+
+
 def test_subgroups_containing_matches_brute_filter():
     s4 = symmetric_group(4)
     lattice = [frozenset(h.elements()) for h in subgroups(symmetric_group(4), 24)]
@@ -629,17 +636,24 @@ def test_subgroup_lattice_memo_is_per_instance():
         )
 
 
-def test_lazy_cayley_table_holds_true_products():
-    # the table is filled on first use: a small bound takes few products
+@pytest.mark.parametrize("g", list(_walk_groups()), ids=lambda g: f"{g.label()}|{g.order()}")
+def test_every_row_holds_true_products(g):
+    ix = g._indexed()
+    els = ix.elements
+    for a, x in enumerate(els):
+        row = ix.row(a)
+        assert all(type(c) is int for c in row)  # a numpy int would break the masks
+        assert [els[c] for c in row] == [x * y for y in els]
+    assert all(row is ix.row(a) for a, row in enumerate(ix.rows))  # each row is kept
+
+
+def test_rows_are_built_on_first_use():
+    # a small bound builds few rows
     s4 = symmetric_group(4)
     subgroups(s4, 2)
-    els, table = s4.elements(), s4._indexed().table
-    small = sum(len(row) for row in table)
+    small = sum(row is not None for row in s4._indexed().rows)
     subgroups(s4, 24)
-    assert 0 < small < sum(len(row) for row in table) <= 24 * 24
-    for a, row in enumerate(table):
-        for b, c in row.items():
-            assert els[a] * els[b] == els[c]
+    assert 0 < small < sum(row is not None for row in s4._indexed().rows) <= 24
 
 
 def _unpruned_subgroups_containing(g, seed_gens, order_bound):

@@ -486,7 +486,6 @@ def test_pc_hom_non_monotone():
     g = path_graph(3)
     pc = build_mekler(g, 3)
     flip = PcHom(pc, pc, (2, 1, 0))
-    assert not flip.monotone
     rng = random.Random(79)
     els = list(pc.all_elements())
     assert len({flip.apply(u) for u in els}) == len(els)
@@ -525,7 +524,6 @@ def test_monotone_transport_matches_engine_path():
     src = build_mekler(g, 3)
     dst = build_mekler(big, 3)
     mono = PcHom(src, dst, (0, 1, 2))
-    assert mono.monotone
     rng = random.Random(83)
     for _ in range(150):
         u = random_element(rng, src)
@@ -534,6 +532,50 @@ def test_monotone_transport_matches_engine_path():
         ta, tb = mono.apply_arrays(ua, ub)
         image = mono.apply(u)
         assert tuple(ta[0]) == image.a and tuple(tb[0]) == image.b
+
+
+def _rebuilt_image(hom, u):
+    """The image of u rebuilt through the target arithmetic, generator by generator."""
+    acc = hom.target.identity()
+    for x in range(hom.source.n):
+        if u.a[x]:
+            acc = acc * hom.target.power(
+                hom.target.generator(hom.vertex_map[x]), u.a[x]
+            )
+    b = [0] * hom.target.num_pairs
+    for (x, y), coeff in zip(hom.source.nonedges, u.b):
+        tx, ty = hom.vertex_map[x], hom.vertex_map[y]
+        if tx < ty:
+            b[hom.target.pair_index[(tx, ty)]] += coeff
+        else:
+            b[hom.target.pair_index[(ty, tx)]] -= coeff
+    return acc * hom.target.element((0,) * hom.target.n, b)
+
+
+def _injections():
+    c5 = build_mekler(cycle_graph(5), 5)
+    for r in range(5):  # the 10 automorphisms of the 5-cycle
+        for sign in (1, -1):
+            yield PcHom(c5, c5, tuple((sign * v + r) % 5 for v in range(5)))
+    p3 = build_mekler(path_graph(3), 3)
+    yield PcHom(p3, p3, (2, 1, 0))
+    e3 = build_mekler(empty_graph(3), 3)
+    for perm in itertools.permutations(range(3)):
+        yield PcHom(e3, e3, perm)
+    yield PcHom(p3, build_mekler(extend(path_graph(3)), 3), (0, 1, 2))
+
+
+@pytest.mark.parametrize("hom", list(_injections()), ids=lambda h: str(h.vertex_map))
+def test_transport_matches_the_rebuild_through_target_arithmetic(hom):
+    rng = random.Random(97)
+    us = [random_element(rng, hom.source) for _ in range(200)]
+    assert [hom.apply(u) for u in us] == [_rebuilt_image(hom, u) for u in us]
+    # the array rule agrees with the scalar one row for row
+    ta, tb = hom.apply_arrays([u.a for u in us], [u.b for u in us])
+    assert [hom.target.element(a, b) for a, b in zip(ta.tolist(), tb.tolist())] == [
+        hom.apply(u) for u in us
+    ]
+    assert ta.min() >= 0 and tb.min() >= 0 and max(ta.max(), tb.max()) < hom.target.p
 
 
 def test_format_parse_pc_element():
