@@ -108,9 +108,11 @@ def _check_budgets(args) -> None:
             _check_at_least("--" + name.replace("_", "-"), getattr(args, name), 1)
 
 
-def _check_max_g(max_g: int) -> None:
-    if max_g > CATALOG_MAX_ORDER:
-        raise ParseError(f"MAX_G must be <= {CATALOG_MAX_ORDER}, got {max_g}")
+def _check_bound(bound) -> None:
+    _check_at_least("MAX_F", bound[0], 1)
+    _check_at_least("MAX_G", bound[1], 1)
+    if bound[1] > CATALOG_MAX_ORDER:
+        raise ParseError(f"MAX_G must be <= {CATALOG_MAX_ORDER}, got {bound[1]}")
 
 
 def _header(kind: str, value: str) -> list:
@@ -263,7 +265,7 @@ def _stage0_audit(sys_d, args):
 
 def cmd_omni(args) -> int:
     _check_budgets(args)
-    _check_max_g(args.bound[1])
+    _check_bound(args.bound)
     if args.h_bound is not None:
         _check_at_least("--h-bound", args.h_bound, 1)
     if args.dstage:
@@ -396,7 +398,7 @@ def cmd_reduce(args) -> int:
         _check_budgets(args)
         _check_at_least("--depth-k", args.depth_k, 0)
         _check_at_least("--depth-d", args.depth_d, 0)
-        _check_max_g(args.bound[1])
+        _check_bound(args.bound)
         _check_at_least("--h-bound", args.h_bound, 1)
         g = _load_graph(args.graph)
         base = _load_base(args.a)

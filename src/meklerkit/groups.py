@@ -2,8 +2,8 @@
 
 Everything here enumerates honestly: element listings come from
 breadth-first product closure, homomorphisms are verified against every
-(generator, element) pair (a complete proof, by induction on word length),
-and structural searches (simplicity, subgroup lattices, isomorphism,
+(generator, element) pair at one point per orbit of the image (a complete
+proof, see `Hom`), and structural searches (simplicity, subgroup lattices, isomorphism,
 automorphisms) are exhaustive.  Queries that would pass the element budget
 fail loudly with EnumerationBudgetError instead of degrading.
 
@@ -257,6 +257,7 @@ class PermGroup:
         self.enum_budget = enum_budget
         self._index = None  # see _indexed
         self._lattice = (0, [])  # (order bound, [subgroup bitmask])
+        self._containing = {}  # (seed positions, order bound) -> [(gen positions, order)]
 
     def identity(self) -> Perm:
         return Perm.identity(self.degree)
@@ -476,12 +477,14 @@ class Hom:
     The table is one integer array over domain positions: row i holds the
     images of the codomain points under the image of `domain.elements()[i]`,
     in the smallest signed dtype that holds the codomain degree, so it takes
-    |domain| x degree x itemsize bytes.  It is filled breadth-first from the
-    identity's row, then every (element, generator) pair is checked,
-    f(x g) == f(x) f(g); a build that passes is a complete proof of the
-    homomorphism property (induction on word length), so a Hom whose
-    `mapping` exists needs no further verification.  `mapping` is a
-    read-only view that makes a `Perm` on each lookup and keeps none.
+    |domain| x degree x itemsize bytes.  It is filled along the walk's tree,
+    T[x g] = T[x] f(g), then T[g x](p) == f(g)(T[x](p)) is checked for every
+    generator g and element x at one point p per orbit of I = <f(gens)>
+    (`_orbit_columns`).  That is a complete proof, so a Hom whose `mapping`
+    exists needs no further verification: f(w)(p) == T[w](p) for every word
+    w, so for words w, w' of one value f(w) and f(w') agree at f(u)(p)
+    for every word u, i.e. on all of I p, and I fixes the other points.
+    `mapping` is a read-only view that makes a `Perm` on each lookup and keeps none.
     """
 
     def __init__(self, domain: PermGroup, codomain: PermGroup, gen_images, name=None):
@@ -514,19 +517,18 @@ class Hom:
         table[0] = np.arange(degree)  # position 0 is the identity
         for a, y, k in ix.tree:  # f(x g) = f(x) f(g) along the BFS tree
             table[y] = table[a].take(images[k])
-        # the complete proof: f(x g) == f(x) f(g) for every x and generator g
-        right = np.array(ix.right, dtype=np.intp).reshape(len(images), rows)
-        chunk = _chunk_rows(degree * max(len(images), 1))
-        for lo in range(0, rows, chunk):
-            want = table[lo:lo + chunk].take(images, axis=1).swapaxes(0, 1)
-            bad = want != table[right[:, lo:lo + chunk]]
-            if bad.any():
-                k, i = np.argwhere(bad.any(axis=2))[0]
-                y = ix.elements[right[k, lo + i]]
-                raise ValueError(
-                    f"generator images do not define a homomorphism "
-                    f"(conflict at {y!r})"
-                )
+        # the proof: f(g x) == f(g) f(x) for every generator g and every x, read at one
+        # point p of each orbit of I = <images>, whose column stays inside I p
+        lefts = [ix.row(r[0]) for r in ix.right]  # g x for every x
+        for col in _orbit_columns(table, self.gen_images).values():
+            at = itemgetter(*col)
+            for row, fg in zip(lefts, self.gen_images):
+                if itemgetter(*row)(col) != at(fg.images):
+                    x = next(x for x in range(rows) if col[row[x]] != fg.images[col[x]])
+                    raise ValueError(
+                        f"generator images do not define a homomorphism "
+                        f"(conflict at {ix.elements[row[x]]!r})"
+                    )
         return table
 
     def __call__(self, x: Perm) -> Perm:
@@ -588,6 +590,17 @@ class _HomTable(Mapping):
 
     def __iter__(self):
         return iter(self._els)
+
+
+def _orbit_columns(table: np.ndarray, gen_images) -> dict[int, list[int]]:
+    """Column p of a hom table for one point p, smallest first, of each orbit
+    that an image moves: column p lies in p's orbit, so it covers its points."""
+    columns, covered = {}, set()
+    for p in sorted({p for fg in gen_images for p, x in enumerate(fg.images) if p != x}):
+        if p not in covered:
+            columns[p] = table[:, p].tolist()
+            covered.update(columns[p])
+    return columns
 
 
 def _point_dtype(degree: int):
@@ -744,15 +757,28 @@ def subgroups_containing(
 
     Cyclic-extension search: grow by one element at a time, deduplicating by
     element set.  The lattice is built once per group, up to the largest bound
-    asked, as bitmasks of element positions; each call reruns the search from
-    <seed_gens> on the masks alone, so H's generators are seed_gens + path.
-    The build closes <K, x> once per coset Kx, for its first x, since
+    asked, as bitmasks of element positions; the search from <seed_gens> runs
+    on the masks alone, so H's generators are seed_gens + path.  g keeps each
+    H's generator positions and order per (seed positions, order_bound), for
+    any later lattice bound, and each call builds fresh groups from them.  The
+    build closes <K, x> once per coset Kx, for its first x, since
     <K, kx> = <K, x>, and never when lcm(|K|, ord x) passes the bound.
     """
-    ix = g._indexed()
-    els, pos = ix.elements, ix.pos
+    els, pos = g.elements(), g._indexed().pos
     if not all(x in pos for x in seed_gens):
         raise ValueError("element outside the group")
+    seed = tuple(pos[x] for x in seed_gens)
+    if (seed, order_bound) not in g._containing:
+        g._containing[seed, order_bound] = _seeded_search(g, seed, order_bound)
+    return [PermGroup(g.degree, [els[i] for i in gens], known_order=order,
+                      enum_budget=g.enum_budget)
+            for gens, order in g._containing[seed, order_bound]]
+
+
+def _seeded_search(g: PermGroup, seed: tuple, order_bound: int) -> list[tuple[tuple, int]]:
+    """(generator positions, order) of each subgroup `subgroups_containing` finds."""
+    ix = g._indexed()
+    els = ix.elements
     bound = min(order_bound, len(els))
     if g._lattice[0] < bound:
         orders = [x.order() for x in els]
@@ -779,7 +805,6 @@ def subgroups_containing(
         found = sorted(found, key=lambda m: (m.bit_count(), sorted(
             els[i].images for i in range(len(els)) if m >> i & 1)))
         g._lattice = (bound, found)
-    seed = tuple(pos[x] for x in seed_gens)
     base = _closure_mask(g, seed, order_bound)
     if base is None:
         return []
@@ -795,8 +820,7 @@ def subgroups_containing(
             if m not in paths:
                 paths[m] = paths[k] + (x,)
                 queue.append(m)
-    return [PermGroup(g.degree, [els[i] for i in paths[m]], known_order=m.bit_count(),
-                      enum_budget=g.enum_budget) for m in kept]
+    return [(paths[m], m.bit_count()) for m in kept]
 
 
 def subgroups(g: PermGroup, order_bound: int) -> list[PermGroup]:

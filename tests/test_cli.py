@@ -248,6 +248,11 @@ def test_tower_depth_two_over_budget(capsys):
         ["omni", "--dstage", "C2", "--bound", "2", "2", "--budget-enum", "0"],
         ["tower", "--budget-enum", "-1"],
         ["reduce", "GRAPH", "--p", "3", "--budget-enum", "0"],
+        ["reduce", "GRAPH", "--p", "3", "--bound", "0", "6"],
+        ["reduce", "GRAPH", "--p", "3", "--bound", "2", "0"],
+        ["omni", "--dstage", "C2", "--bound", "-3", "2"],
+        ["omni", "--dstage", "C2", "--bound", "2", "-1"],
+        ["omni", "C2", "--bound", "0", "2"],
     ],
     ids=["extend-depth-k", "tower-depth-d", "omni-max-g", "omni-dstage-max-g",
          "reduce-depth-d", "reduce-depth-k", "reduce-max-g", "omni-h-bound",
@@ -255,7 +260,8 @@ def test_tower_depth_two_over_budget(capsys):
          "extend-budget-vertices", "reduce-budget-vertices", "tower-budget-points",
          "reduce-budget-points", "iso-budget-enum", "lift-budget-enum",
          "omni-budget-enum", "omni-dstage-budget-enum", "tower-budget-enum",
-         "reduce-budget-enum"],
+         "reduce-budget-enum", "reduce-max-f", "reduce-max-g-zero", "omni-dstage-max-f",
+         "omni-dstage-max-g-negative", "omni-max-f"],
 )
 def test_bad_depth_or_bound_exits_2_before_any_work(tmp_path, capsys, argv):
     files = {

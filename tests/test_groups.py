@@ -56,7 +56,12 @@ from meklerkit import (
     trivial_group,
     verify_hom_table,
 )
-from meklerkit.groups import _generating_sequence, _greedy_generators, _iso_search
+from meklerkit.groups import (
+    _generating_sequence,
+    _greedy_generators,
+    _iso_search,
+    _orbit_columns,
+)
 
 
 def test_perm_composition_convention():
@@ -351,6 +356,18 @@ def test_tower_hom_tables_match_reference(base):
         assert hom.is_injective()
 
 
+def test_tower_hom_proofs_read_one_point_per_orbit():
+    # S4 x C2 on six points: stage 0 has order 2880, stage 1 acts on 2,888 points
+    base = PermGroup(6, [Perm((1, 2, 3, 0, 4, 5)), Perm((1, 0, 2, 3, 4, 5)),
+                         Perm((0, 1, 2, 3, 5, 4))])
+    tower = make_cayley_tower(base, alternating_group(5), 1)
+    (phi,) = build_D(tower).maps
+    cayley = tower.f_maps[0]
+    assert (cayley.name, phi.name) == ("cayley_even", "phi_0")
+    for hom, points in ((cayley, [0]), (phi, [0, 4, 6])):
+        assert list(_orbit_columns(hom.mapping.table, hom.gen_images)) == points
+
+
 def test_direct_sum_hom_tables_match_reference():
     ds = direct_sum(cyclic_group(2), symmetric_group(3))
     for hom in (ds.inject_a, ds.inject_b, ds.project_a, ds.project_b):
@@ -403,10 +420,16 @@ def test_one_walk_gives_elements_positions_steps_and_tree(g):
 
 SMALL_GROUPS = [cyclic_group(4), klein_four_group(), symmetric_group(3), dihedral_group(4),
                 quaternion_group()]
+_CATALOG_8 = {g.label(): g for g in small_groups_catalog(8)}
+# codomains with several orbits, and fixed points that no image moves
+INTRANSITIVE_GROUPS = [direct_sum(cyclic_group(2), symmetric_group(3)).group,
+                       _CATALOG_8["C2xC2xC2"], _CATALOG_8["C4xC2"],
+                       PermGroup(7, [g.extend(7) for g in dihedral_group(4).gens])]
 
 
-@settings(deadline=None, max_examples=150)
-@given(st.sampled_from(SMALL_GROUPS), st.sampled_from(SMALL_GROUPS), st.data())
+@settings(deadline=None, max_examples=300)
+@given(st.sampled_from(SMALL_GROUPS),
+       st.sampled_from(SMALL_GROUPS + INTRANSITIVE_GROUPS), st.data())
 def test_hom_table_rejects_exactly_what_the_reference_rejects(dom, cod, data):
     cod_els = cod.elements()
     images = [data.draw(st.sampled_from(cod_els)) for _ in dom.gens]
@@ -418,6 +441,34 @@ def test_hom_table_rejects_exactly_what_the_reference_rejects(dom, cod, data):
             hom.verify()
     else:
         assert_table_matches_reference(hom)
+        # the points read cover every orbit: with the fixed points they reach every point
+        columns = _orbit_columns(hom.mapping.table, images)
+        fixed = {p for p in range(cod.degree) if all(fg(p) == p for fg in images)}
+        reached = fixed.union(*columns.values())
+        assert reached == set(range(cod.degree)) and not fixed & set(columns)
+        for col in columns.values():  # each column is an orbit: closed under the images
+            assert {fg(q) for fg in images for q in col} == set(col)
+
+
+def test_memoised_subgroups_containing_matches_a_fresh_group():
+    def shape(groups):
+        return [(h.gens, h.order()) for h in groups]
+
+    g = symmetric_group(4)
+    seed = [Perm((1, 0, 2, 3)), Perm((0, 1, 3, 2))]
+    first = subgroups_containing(g, seed, 8)
+    first.clear()  # each call returns a fresh list
+    again = subgroups_containing(g, seed, 8)
+    assert again and again is not subgroups_containing(g, seed, 8)
+    assert (tuple(map(g._indexed().pos.get, seed)), 8) in g._containing  # positions, bound
+    assert shape(again) == shape(subgroups_containing(symmetric_group(4), seed, 8))
+    # the seed's order is part of the key: the generators start with it
+    swapped = subgroups_containing(g, seed[::-1], 8)
+    assert [h.gens[:2] for h in swapped] == [tuple(seed[::-1])] * len(swapped)
+    subgroups_containing(g, seed, 24)  # a larger bound rebuilds the lattice
+    for bound in (8, 24, 4):
+        assert shape(subgroups_containing(g, seed, bound)) == shape(
+            subgroups_containing(symmetric_group(4), seed, bound))
 
 
 def test_corrupted_cayley_image_is_refused():
