@@ -28,7 +28,6 @@ from .graphs import (
     check_extension_property,
     complete_graph,
     cycle_graph,
-    empty_graph,
     extend,
     extend_iso,
     extend_tower,
@@ -59,13 +58,11 @@ from .groups import (
     direct_sum,
     enumerate_homs,
     format_group,
-    format_perm,
     is_simple,
     iso_invariant_mismatch,
     klein_four_group,
     normal_closure,
     parse_group,
-    parse_perm,
     quaternion_group,
     quotient_group,
     small_groups_catalog,
@@ -95,9 +92,6 @@ from .mekler import (
     PcGroup,
     PcHom,
     build_mekler,
-    embed_gamma_prime,
-    format_pc_element,
-    parse_pc_element,
     recover_graph,
 )
 from .omni import (

@@ -34,7 +34,6 @@ from .groups import (
     brute_iso,
     cyclic_group,
     enumerate_homs,
-    format_group,
     iso_invariant_mismatch,
     parse_group,
 )
@@ -51,8 +50,8 @@ from .manifest import format_manifest, sha256_hex
 from .mekler import (
     MAX_P,
     PcGroup,
+    PcHom,
     build_mekler,
-    embed_gamma_prime,
     is_odd_prime,
     recover_graph,
 )
@@ -64,6 +63,13 @@ def _read_text(path: str) -> str:
         return Path(path).read_text(encoding="utf-8")
     except OSError as exc:
         raise ParseError(f"cannot read {path!r}: {exc.strerror or exc}")
+
+
+def _write_text(path, text: str) -> None:
+    try:
+        Path(path).write_text(text, encoding="utf-8", newline="\n")
+    except OSError as exc:
+        raise ParseError(f"cannot write {str(path)!r}: {exc.strerror or exc}")
 
 
 def _load_graph(path: str):
@@ -121,7 +127,7 @@ def _header(kind: str, value: str) -> list:
 
 def _emit(text: str, out: str | None) -> None:
     if out:
-        Path(out).write_text(text, encoding="utf-8", newline="\n")
+        _write_text(out, text)
     else:
         sys.stdout.write(text)
 
@@ -356,7 +362,11 @@ def _kv(key, value):
 
 def cmd_reduce(args) -> int:
     outdir = Path(args.out)
-    outdir.mkdir(parents=True, exist_ok=True)
+    try:
+        outdir.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        # no directory, so no manifest: main reports it on stderr and exits 2
+        raise ParseError(f"cannot write {args.out!r}: {exc.strerror or exc}")
     artifacts: dict[str, str] = {}
     sections: list = [
         _header("command", "reduce"),
@@ -384,12 +394,12 @@ def cmd_reduce(args) -> int:
         )
         sections.append([_kv("status", status)])
         text = format_manifest(sections)
-        (outdir / "manifest.txt").write_text(text, encoding="utf-8", newline="\n")
+        _write_text(outdir / "manifest.txt", text)
         sys.stdout.write(text)
         return code
 
     def write_artifact(name: str, text: str) -> None:
-        (outdir / name).write_text(text, encoding="utf-8", newline="\n")
+        _write_text(outdir / name, text)
         artifacts[name] = sha256_hex(text)
 
     try:
@@ -447,7 +457,7 @@ def cmd_reduce(args) -> int:
         pc = build_mekler(g, args.p)
         write_artifact("mekler_group.txt", format_manifest(_mekler_sections(pc)))
         pc_big = build_mekler(extended, args.p)
-        hom = embed_gamma_prime(g, extended, inclusion, args.p)
+        hom = PcHom(pc, pc_big, inclusion)
         rng = random.Random(args.seed)
         samples = 1000
         dims_a, dims_b = pc.n, pc.num_pairs

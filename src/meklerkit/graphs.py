@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import hashlib
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .errors import ParseError, VertexBudgetError
 
@@ -107,10 +107,6 @@ class Graph:
     @classmethod
     def from_edges(cls, n: int, edges) -> "Graph":
         return cls(range(n), edges)
-
-
-def empty_graph(n: int) -> Graph:
-    return Graph.from_edges(n, [])
 
 
 def complete_graph(n: int) -> Graph:

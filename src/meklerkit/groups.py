@@ -546,24 +546,18 @@ class Hom:
         self.mapping
         return self
 
-    def _kernel_positions(self) -> list[int]:
+    def is_injective(self) -> bool:
+        # a hom is injective exactly when its kernel is trivial: count the
+        # identity rows chunk by chunk
         table = self.mapping.table
         ident = np.arange(table.shape[1], dtype=table.dtype)
         chunk = _chunk_rows(table.shape[1])
-        return [lo + int(i) for lo in range(0, len(table), chunk)
-                for i in np.flatnonzero((table[lo:lo + chunk] == ident).all(axis=1))]
-
-    def is_injective(self) -> bool:
-        # a hom is injective exactly when its kernel is trivial
-        return len(self._kernel_positions()) == 1
+        return sum(int((table[lo:lo + chunk] == ident).all(axis=1).sum())
+                   for lo in range(0, len(table), chunk)) == 1
 
     def is_surjective(self) -> bool:
         # the image is a subgroup of the codomain, so it is onto when it is as large
         return len({row.tobytes() for row in self.mapping.table}) == self.codomain.order()
-
-    def kernel_elements(self) -> tuple[Perm, ...]:
-        els = self.domain.elements()
-        return tuple(els[i] for i in self._kernel_positions())
 
     def __repr__(self):
         nm = f" {self.name}" if self.name else ""
@@ -1039,28 +1033,6 @@ def small_groups_catalog(max_order: int) -> list[PermGroup]:
 # ---------------------------------------------------------------------------
 # text formats
 # ---------------------------------------------------------------------------
-
-def format_perm(p: Perm) -> str:
-    return f"perm {p.degree}: " + " ".join(str(x) for x in p.images)
-
-
-def parse_perm(text: str, lineno: int | None = None) -> Perm:
-    head, sep, body = text.partition(":")
-    parts = head.split()
-    if not sep or len(parts) != 2 or parts[0] != "perm":
-        raise ParseError("expected `perm <degree>: <images>`", lineno)
-    try:
-        degree = int(parts[1])
-        images = [int(tok) for tok in body.split()]
-    except ValueError:
-        raise ParseError("permutation entries must be integers", lineno)
-    if len(images) != degree:
-        raise ParseError(f"expected {degree} images, found {len(images)}", lineno)
-    try:
-        return Perm(images)
-    except ValueError as exc:
-        raise ParseError(str(exc), lineno)
-
 
 def format_group(g: PermGroup) -> str:
     lines = [f"p group {g.degree}"]

@@ -26,7 +26,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ParseError
 from .graphs import Graph
 
 TABLE_LIMIT = 6561  # largest order for a dense multiplication table
@@ -192,9 +191,6 @@ class PcGroup:
         )
         return PcElement(self, a, b)
 
-    def element_order(self, u: PcElement) -> int:
-        return 1 if u.is_identity() else self.p
-
     # -- center --------------------------------------------------------------
 
     def universal_vertices(self) -> tuple[int, ...]:
@@ -205,11 +201,6 @@ class PcGroup:
 
     def center(self) -> "CenterReport":
         return CenterReport(self.p, self.universal_vertices(), self.num_pairs)
-
-    def is_central(self, u: PcElement) -> bool:
-        self._own(u)
-        universal = set(self.universal_vertices())
-        return all(u.a[v] == 0 for v in range(self.n) if v not in universal)
 
     # -- enumeration and dense tables (small groups only) ---------------------
 
@@ -273,18 +264,6 @@ class PcGroup:
         a1, b1, a2, b2 = self._narrow(a1, b1, a2, b2)
         corr = a1[..., self._ys] * a2[..., self._xs]
         return self._reduced(a1 + a2), self._reduced(b1 + b2 - corr)
-
-    def inverse_arrays(self, a1, b1):
-        """Stacked inverses (-a, -b - a_x a_y) mod p; contract as multiply_arrays."""
-        a1, b1 = self._narrow(a1, b1)
-        corr = a1[..., self._xs] * a1[..., self._ys]
-        return self._reduced(-a1), self._reduced(-b1 - corr)
-
-    def commutator_arrays(self, a1, a2):
-        """[u, v] pair parts a_x a'_y - a_y a'_x mod p; contract as multiply_arrays."""
-        a1, a2 = self._narrow(a1, a2)
-        return self._reduced(a1[..., self._xs] * a2[..., self._ys]
-                             - a1[..., self._ys] * a2[..., self._xs])
 
     def rank_arrays(self, a, b) -> np.ndarray:
         """Mixed-radix element indices for stacked coordinate arrays."""
@@ -427,46 +406,3 @@ class PcHom:
         f, src = self._flips, self.source
         tb[..., self._cols[f]] = (-b[..., f] - a[..., src._xs[f]] * a[..., src._ys[f]]) % src.p
         return ta, tb
-
-
-def embed_gamma_prime(
-    source_graph: Graph, target_graph: Graph, inclusion, p: int
-) -> PcHom:
-    """Group transport along an induced-subgraph inclusion."""
-    return PcHom(PcGroup(source_graph, p), PcGroup(target_graph, p), inclusion)
-
-
-# ---------------------------------------------------------------------------
-# text format
-# ---------------------------------------------------------------------------
-
-def format_pc_element(u: PcElement) -> str:
-    return (
-        "pc a=[" + ",".join(str(x) for x in u.a) + "]"
-        + " b=[" + ",".join(str(x) for x in u.b) + "]"
-    )
-
-
-def parse_pc_element(pc: PcGroup, text: str) -> PcElement:
-    tokens = text.strip().split()
-    if len(tokens) != 3 or tokens[0] != "pc":
-        raise ParseError("expected `pc a=[...] b=[...]`")
-
-    def vector(token: str, tag: str) -> list[int]:
-        prefix = tag + "=["
-        if not token.startswith(prefix) or not token.endswith("]"):
-            raise ParseError(f"expected `{tag}=[...]`, got {token!r}")
-        body = token[len(prefix):-1]
-        if not body:
-            return []
-        try:
-            return [int(t) for t in body.split(",")]
-        except ValueError:
-            raise ParseError(f"bad integer in {token!r}")
-
-    a = vector(tokens[1], "a")
-    b = vector(tokens[2], "b")
-    try:
-        return pc.element(a, b)
-    except ValueError as exc:
-        raise ParseError(str(exc))

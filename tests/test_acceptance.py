@@ -13,7 +13,6 @@ import subprocess
 import sys
 import time
 from math import comb
-from pathlib import Path
 
 import numpy as np
 
@@ -23,6 +22,7 @@ from meklerkit import (
     GraphIso,
     Hom,
     OmniQuery,
+    PcHom,
     Perm,
     alternating_group,
     audit_extension_property,
@@ -31,7 +31,6 @@ from meklerkit import (
     check_normal_absorption,
     cyclic_group,
     cycle_graph,
-    embed_gamma_prime,
     enumerate_homs,
     extend,
     extend_iso,
@@ -249,7 +248,7 @@ def test_06_gamma_prime_embedding():
     pairs_checked = 0
     for g in small_graphs(3):
         big = extend(g)
-        hom = embed_gamma_prime(g, big, tuple(range(g.n)), 3)
+        hom = PcHom(build_mekler(g, 3), build_mekler(big, 3), tuple(range(g.n)))
         pc, pcb = hom.source, hom.target
         a, b = pc.coordinate_matrix()
         size = a.shape[0]
@@ -277,7 +276,7 @@ def test_06_gamma_prime_embedding():
     big5 = extend(c5)
     rng = random.Random(20240821)
     for p in (3, 5):
-        hom = embed_gamma_prime(c5, big5, tuple(range(5)), p)
+        hom = PcHom(build_mekler(c5, p), build_mekler(big5, p), tuple(range(5)))
         pc, pcb = hom.source, hom.target
         def block(width):
             flat = [rng.randrange(p) for _ in range(1000 * width)]

@@ -368,6 +368,24 @@ def test_reduce_bad_base_fails_before_writing(tmp_path, capsys):
     assert info["error"].startswith("input: cannot read")
 
 
+@pytest.mark.parametrize("argv", [
+    ["extend", "{c5}", "-o", "{tmp}/missing/dir/x.txt"],
+    ["omni", "--dstage", "{c2}", "--bound", "1", "2", "--h-bound", "2",
+     "-o", "{tmp}/missing/x"],
+    # the output path is the input graph, a regular file: no directory, so
+    # no manifest, and the file is left as it was
+    ["reduce", "{c5}", "--p", "3", "--out", "{c5}"],
+], ids=["extend", "omni-dstage", "reduce"])
+def test_unwritable_output_exits_2(tmp_path, capsys, argv):
+    paths = {"c5": write(tmp_path, "c5.txt", C5), "c2": write(tmp_path, "c2.txt", C2_GROUP),
+             "tmp": str(tmp_path)}
+    assert main([arg.format(**paths) for arg in argv]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: cannot write") and len(err.splitlines()) == 1
+    assert (tmp_path / "c5.txt").read_text() == C5
+    assert not (tmp_path / "missing").exists()
+
+
 def test_reduce_unreadable_graph_path_with_newline(tmp_path, capsys):
     outdir = tmp_path / "run"
     missing = str(tmp_path / "no\nsuch.txt")

@@ -1,7 +1,8 @@
 """Graphs, niceness, the subset extension, and graph file round trips.
 
 The niceness checks are compared against a direct quantifier transcription
-that recomputes adjacency from the edge list on its own.
+that recomputes adjacency from the edge list on its own, and against
+networkx on every small graph of its atlas.
 """
 
 from __future__ import annotations
@@ -9,9 +10,11 @@ from __future__ import annotations
 import itertools
 import random
 
+import networkx as nx
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from networkx.algorithms.isomorphism import GraphMatcher
 
 import meklerkit.graphs
 from conftest import all_graphs, random_graph
@@ -25,7 +28,6 @@ from meklerkit import (
     check_extension_property,
     complete_graph,
     cycle_graph,
-    empty_graph,
     extend,
     extend_iso,
     extend_tower,
@@ -93,7 +95,7 @@ def test_named_graphs_niceness():
     assert not is_nice(complete_graph(3)).is_nice
     assert not is_nice(cycle_graph(4)).is_nice  # a square
     assert not is_nice(path_graph(3)).is_nice  # endpoints unseparated
-    assert is_nice(empty_graph(0)).is_nice
+    assert is_nice(Graph.from_edges(0, [])).is_nice
 
 
 def test_triangle_square_witnesses():
@@ -119,10 +121,10 @@ def test_extend_counts():
     e = extend(g)
     assert e.n == 6
     assert e.edge_count() == 5
-    e0 = extend(empty_graph(0))
+    e0 = extend(Graph.from_edges(0, []))
     assert e0.n == 1 and e0.edge_count() == 0
     for n in range(5):
-        for g in [empty_graph(n), complete_graph(n)]:
+        for g in [Graph.from_edges(n, []), complete_graph(n)]:
             e = extend(g)
             assert e.n == g.n + 2 ** g.n
             assert e.edge_count() == g.edge_count() + g.n * 2 ** max(g.n - 1, 0)
@@ -165,7 +167,7 @@ def test_extend_tower_budget():
 
 def test_extend_stage_labels_do_not_collide():
     # two extension steps from different stages must not identify vertices
-    g = empty_graph(1)
+    g = Graph.from_edges(1, [])
     e1 = extend(g)
     e2 = extend(e1)
     assert len(set(e2.labels)) == e2.n
@@ -358,3 +360,42 @@ def test_graph_value_semantics():
         Graph.from_edges(2, [(0, 0)])
     with pytest.raises(ValueError):
         Graph.from_edges(2, [(0, 5)])
+
+
+# every graph with 1 to 6 vertices, up to isomorphism, on vertices 0..n-1
+ATLAS = [g for g in nx.graph_atlas_g() if 1 <= g.number_of_nodes() <= 6]
+
+
+def from_networkx(nxg) -> Graph:
+    return Graph.from_edges(nxg.number_of_nodes(), nxg.edges())
+
+
+def to_networkx(g: Graph):
+    nxg = nx.Graph(list(g.edges))
+    nxg.add_nodes_from(range(g.n))
+    return nxg
+
+
+def test_triangle_and_square_clauses_agree_with_networkx_girth():
+    assert len(ATLAS) == 208
+    for nxg in ATLAS:
+        report = is_nice(from_networkx(nxg))
+        assert (report.triangle is None and report.square is None) == (nx.girth(nxg) >= 5)
+
+
+def test_extend_iso_maps_edges_to_edges_for_every_networkx_automorphism():
+    automorphisms = 0
+    for nxg in ATLAS:
+        if nxg.number_of_nodes() > 5:
+            continue
+        g = from_networkx(nxg)
+        big = to_networkx(extend(g))
+        autos = list(GraphMatcher(nxg, nxg).isomorphisms_iter())
+        maps = [extend_iso(GraphIso(g, g, tuple(auto[v] for v in range(g.n))))
+                for auto in autos]
+        for f in maps:
+            assert all(big.has_edge(f.apply(u), f.apply(v)) for u, v in big.edges)
+        # distinct automorphisms extend to distinct maps
+        assert len({f.mapping for f in maps}) == len(autos)
+        automorphisms += len(autos)
+    assert automorphisms == 571

@@ -1,4 +1,4 @@
-"""Package layout: every module is called from inside the package."""
+"""Package layout: every module and every export has a caller."""
 
 import ast
 from pathlib import Path
@@ -6,6 +6,7 @@ from pathlib import Path
 import meklerkit
 
 PACKAGE = Path(meklerkit.__file__).parent
+REPO = Path(__file__).resolve().parent.parent
 ENTRY_POINTS = {"__init__", "cli"}  # the import surface and the command line
 
 
@@ -44,3 +45,55 @@ def test_the_import_scan_sees_relative_and_absolute_forms(tmp_path):
                    "from meklerkit.graphs import Graph\nimport meklerkit.limits\n"
                    "import numpy\n")
     assert imported_modules(src) == {"groups", "omni", "graphs", "limits"}
+
+
+def reexported_names(init: Path) -> set:
+    """Names that the relative imports of `init` re-export."""
+    return {alias.asname or alias.name
+            for node in ast.walk(ast.parse(init.read_text(encoding="utf-8")))
+            if isinstance(node, ast.ImportFrom) and node.level == 1
+            for alias in node.names}
+
+
+def mentioned_names(paths) -> set:
+    """Every Name id, Attribute name and string constant in the files."""
+    found = set()
+    for path in paths:
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Name):
+                found.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                found.add(node.attr)
+            elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+                found.add(node.value)
+    return found
+
+
+def uncalled_exports(init: Path, callers) -> list:
+    """Exports that no caller mentions; a format_X or parse_X export passes
+    when its partner is mentioned, as each is half of one text format."""
+    mentioned = mentioned_names(callers)
+
+    def partner(name):
+        for prefix, other in (("format_", "parse_"), ("parse_", "format_")):
+            if name.startswith(prefix):
+                return other + name[len(prefix):]
+        return None
+
+    return sorted(name for name in reexported_names(init)
+                  if name not in mentioned and partner(name) not in mentioned)
+
+
+def test_every_export_has_a_caller():
+    callers = [path for path in PACKAGE.glob("*.py") if path.stem != "__init__"]
+    callers += sorted((REPO / "demos").glob("*.py")) + sorted((REPO / "perfbench").glob("*.py"))
+    assert uncalled_exports(PACKAGE / "__init__.py", callers) == []
+
+
+def test_the_export_scan_counts_mentions_and_format_partners(tmp_path):
+    init = tmp_path / "__init__.py"
+    init.write_text("from .a import (used, attr, text, format_x, parse_x,\n"
+                    "    format_y, parse_z, unused)\nfrom meklerkit import absolute\n")
+    caller = tmp_path / "caller.py"
+    caller.write_text("def unused():\n    return used(obj.attr, 'text', parse_x)\n")
+    assert uncalled_exports(init, [caller]) == ["format_y", "parse_z", "unused"]
