@@ -370,16 +370,6 @@ class GraphIso:
             inv[j] = i
         return GraphIso(self.codomain, self.domain, tuple(inv))
 
-    def compose(self, inner: "GraphIso") -> "GraphIso":
-        """self after inner."""
-        if inner.codomain != self.domain:
-            raise ValueError("composition mismatch")
-        return GraphIso(
-            inner.domain,
-            self.codomain,
-            tuple(self.mapping[inner.mapping[i]] for i in range(inner.domain.n)),
-        )
-
     @classmethod
     def identity(cls, g: Graph) -> "GraphIso":
         return cls(g, g, tuple(range(g.n)))

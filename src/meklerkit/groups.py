@@ -15,7 +15,6 @@ from __future__ import annotations
 import itertools
 import math
 from collections import Counter
-from collections.abc import Mapping
 from dataclasses import dataclass
 from operator import itemgetter
 from typing import NamedTuple
@@ -484,7 +483,8 @@ class Hom:
     exists needs no further verification: f(w)(p) == T[w](p) for every word
     w, so for words w, w' of one value f(w) and f(w') agree at f(u)(p)
     for every word u, i.e. on all of I p, and I fixes the other points.
-    `mapping` is a read-only view that makes a `Perm` on each lookup and keeps none.
+    `mapping` is the table itself; `hom(x)` reads one row of it as a `Perm`
+    and `positions()` reads every row as a codomain position.
     """
 
     def __init__(self, domain: PermGroup, codomain: PermGroup, gen_images, name=None):
@@ -499,12 +499,12 @@ class Hom:
                 raise ValueError("image degree mismatch")
             if im not in codomain:
                 raise ValueError("generator image outside codomain")
-        self._mapping = None  # the view of the table, once built
+        self._mapping = None  # the table, once built and proved
 
     @property
-    def mapping(self) -> Mapping:
+    def mapping(self) -> np.ndarray:
         if self._mapping is None:
-            self._mapping = _HomTable(self.domain, self._build_table())
+            self._mapping = self._build_table()
         return self._mapping
 
     def _build_table(self) -> np.ndarray:
@@ -540,7 +540,12 @@ class Hom:
             for g, fg in zip(self.domain.gens, self.gen_images):
                 if x == g:
                     return fg
-        return self.mapping[x]
+        return Perm._make(tuple(self.mapping[self.domain._indexed().pos[x]].tolist()))
+
+    def positions(self) -> list[int]:
+        """The codomain position of each domain element's image, in domain order."""
+        pos = self.codomain._indexed().pos  # a codomain past its budget raises here
+        return [pos[Perm._make(tuple(row.tolist()))] for row in self.mapping]
 
     def verify(self) -> "Hom":
         self.mapping
@@ -549,7 +554,7 @@ class Hom:
     def is_injective(self) -> bool:
         # a hom is injective exactly when its kernel is trivial: count the
         # identity rows chunk by chunk
-        table = self.mapping.table
+        table = self.mapping
         ident = np.arange(table.shape[1], dtype=table.dtype)
         chunk = _chunk_rows(table.shape[1])
         return sum(int((table[lo:lo + chunk] == ident).all(axis=1).sum())
@@ -557,33 +562,11 @@ class Hom:
 
     def is_surjective(self) -> bool:
         # the image is a subgroup of the codomain, so it is onto when it is as large
-        return len({row.tobytes() for row in self.mapping.table}) == self.codomain.order()
+        return len({row.tobytes() for row in self.mapping}) == self.codomain.order()
 
     def __repr__(self):
         nm = f" {self.name}" if self.name else ""
         return f"Hom({self.domain.label()} -> {self.codomain.label()}{nm})"
-
-
-class _HomTable(Mapping):
-    """Read-only view of a hom table: domain element -> image `Perm`.
-
-    Each lookup makes a fresh `Perm` from the element's row; none is kept.
-    """
-
-    __slots__ = ("_els", "_pos", "table")
-
-    def __init__(self, domain: PermGroup, table: np.ndarray):
-        self._els, self._pos = domain.elements(), domain._indexed().pos
-        self.table = table
-
-    def __getitem__(self, x: Perm) -> Perm:
-        return Perm._make(tuple(self.table[self._pos[x]].tolist()))
-
-    def __len__(self) -> int:
-        return len(self.table)
-
-    def __iter__(self):
-        return iter(self._els)
 
 
 def _orbit_columns(table: np.ndarray, gen_images) -> dict[int, list[int]]:
@@ -618,19 +601,19 @@ def verify_hom_table(h: Hom) -> bool:
     isomorphisms.  Falls back to the (complete) generator-pair proof when
     the square table would be too large.
     """
-    m = h.mapping
+    h.verify()
     els = h.domain.elements()
     if len(els) <= _PAIR_TABLE_LIMIT:
         for x in els:
-            mx = m[x]
+            hx = h(x)
             for y in els:
-                if m[x * y] != mx * m[y]:
+                if h(x * y) != hx * h(y):
                     return False
         return True
     for x in els:
-        mx = m[x]
+        hx = h(x)
         for g, fg in zip(h.domain.gens, h.gen_images):
-            if m[x * g] != mx * fg:
+            if h(x * g) != hx * fg:
                 return False
     return True
 
@@ -880,10 +863,8 @@ def brute_iso(g: PermGroup, h: PermGroup) -> Hom | None:
 
 def automorphisms(g: PermGroup) -> PermGroup:
     """Automorphism group acting on g's element list by position."""
-    ix = g._indexed()
-    degree = len(ix.elements)
-    perms = sorted(Perm(tuple(ix.pos[hom.mapping[x]] for x in ix.elements))
-                   for hom in _iso_search(g, g))
+    degree = len(g.elements())
+    perms = sorted(Perm(hom.positions()) for hom in _iso_search(g, g))
     if not perms:
         raise AssertionError("identity automorphism missing")
     # greedy generators: each automorphism not yet reached; sorted, the identity is first

@@ -267,9 +267,8 @@ def check_normal_absorption(
         raise ValueError("element is not in the requested stage")
     da = tower.base.degree
     h_trivial = all(x.images[i] == i for i in range(da, g.degree))
-    pos = g._indexed().pos
     closure = _normal_closure_mask(g, [x])[1]
-    kernel = sum(1 << pos[k] for k in kernel_at_stage(sys, stage))
+    kernel = sum(1 << i for i in tower.sums[stage].inject_b.positions())
     contains = not kernel & ~closure
     note = None
     if h_trivial and not contains:

@@ -203,11 +203,9 @@ def _psi_orbit_representatives(f_sub: PermGroup, g_grp: PermGroup, auts: PermGro
     for psi into one for alpha o psi, so auditing one representative per
     orbit loses nothing.
     """
-    g_pos = g_grp._indexed().pos
-    f_els = f_sub.elements()
     reps = {}
     for hom in enumerate_homs(f_sub, g_grp, injective_only=True):
-        key_raw = tuple(g_pos[hom(x)] for x in f_els)
+        key_raw = hom.positions()
         canon = min(
             tuple(alpha.images[i] for i in key_raw) for alpha in auts.elements()
         )
@@ -242,9 +240,8 @@ def omni_audit(
     """
     if search_bound is None:
         search_bound = gamma.order()
-    catalog = small_groups_catalog(max_g)
     gamma_pos = gamma._indexed().pos
-    auts_cache = {}
+    catalog = [(g_grp, automorphisms(g_grp)) for g_grp in small_groups_catalog(max_g)]
     block_group = None
     if h_block is not None:
         block_gens, mask = _greedy_generators(
@@ -256,11 +253,7 @@ def omni_audit(
     for f_sub in subgroups(gamma, max_f):
         f_id = ",".join(str(gamma_pos[x]) for x in sorted(f_sub.elements()))
         f_in_block = h_block is not None and set(f_sub.elements()) <= h_block
-        for g_grp in catalog:
-            key = g_grp.label()
-            if key not in auts_cache:
-                auts_cache[key] = (g_grp, automorphisms(g_grp))
-            g_ref, auts = auts_cache[key]
+        for g_ref, auts in catalog:
             g_els, g_pos = g_ref.elements(), g_ref._indexed().pos
             embeds_in_block = None  # computed lazily per (F in block, no witness)
             for psi in _psi_orbit_representatives(f_sub, g_ref, auts):
@@ -277,8 +270,7 @@ def omni_audit(
                         )
                     if embeds_in_block:
                         flag = "h-lift-miss"
-                f_els = f_sub.elements()
-                fingerprint = "[" + ",".join(str(g_pos[psi(x)]) for x in f_els) + "]"
+                fingerprint = "[" + ",".join(map(str, psi.positions())) + "]"
                 rows.append(
                     OmniAuditRow(
                         f_order=f_sub.order(),

@@ -4,6 +4,7 @@ import hashlib
 
 import pytest
 
+import meklerkit.omni
 from meklerkit import parse_graph, parse_manifest
 from meklerkit.cli import (
     DEFAULT_ENUM_BUDGET,
@@ -197,12 +198,12 @@ def test_tower_pi_check_sees_a_corrupted_a_block(row):
     tower, sys_d = _build_tower(
         _load_base(None), 1, DEFAULT_POINT_BUDGET, DEFAULT_ENUM_BUDGET
     )
-    sections, ok = _tower_sections(tower, sys_d, 1)
+    sections, ok = _tower_sections(tower, sys_d)
     assert dict(sections[1])["pi_commutes"] == "yes" and ok
-    table = sys_d.maps[0].mapping.table
+    table = sys_d.maps[0].mapping
     da = tower.base.degree
     table[row, :da] = table[row, :da][::-1].copy()
-    sections, ok = _tower_sections(tower, sys_d, 1)
+    sections, ok = _tower_sections(tower, sys_d)
     assert dict(sections[1])["pi_commutes"] == "NO" and not ok
 
 
@@ -237,7 +238,6 @@ def test_tower_depth_two_over_budget(capsys):
         ["omni", "C2", "--bound", "2", "2", "--h-bound", "-1"],
         ["omni", "--dstage", "C2", "--bound", "2", "2", "--h-bound", "0"],
         ["reduce", "GRAPH", "--p", "3", "--h-bound", "0"],
-        ["tower", "--absorption-sample", "-3"],
         ["extend", "GRAPH", "--budget-vertices", "0"],
         ["reduce", "GRAPH", "--p", "3", "--budget-vertices", "0"],
         ["tower", "--budget-points", "0"],
@@ -256,7 +256,7 @@ def test_tower_depth_two_over_budget(capsys):
     ],
     ids=["extend-depth-k", "tower-depth-d", "omni-max-g", "omni-dstage-max-g",
          "reduce-depth-d", "reduce-depth-k", "reduce-max-g", "omni-h-bound",
-         "omni-dstage-h-bound", "reduce-h-bound", "tower-absorption-sample",
+         "omni-dstage-h-bound", "reduce-h-bound",
          "extend-budget-vertices", "reduce-budget-vertices", "tower-budget-points",
          "reduce-budget-points", "iso-budget-enum", "lift-budget-enum",
          "omni-budget-enum", "omni-dstage-budget-enum", "tower-budget-enum",
@@ -375,7 +375,10 @@ def test_reduce_bad_base_fails_before_writing(tmp_path, capsys):
     # the output path is the input graph, a regular file: no directory, so
     # no manifest, and the file is left as it was
     ["reduce", "{c5}", "--p", "3", "--out", "{c5}"],
-], ids=["extend", "omni-dstage", "reduce"])
+    ["mekler", "{c5}", "--p", "3", "-o", "{tmp}/missing/x"],
+    # an existing directory is no file to write
+    ["omni", "--dstage", "{c2}", "--bound", "1", "2", "--h-bound", "2", "-o", "{tmp}"],
+], ids=["extend", "omni-dstage", "reduce", "mekler", "omni-directory"])
 def test_unwritable_output_exits_2(tmp_path, capsys, argv):
     paths = {"c5": write(tmp_path, "c5.txt", C5), "c2": write(tmp_path, "c2.txt", C2_GROUP),
              "tmp": str(tmp_path)}
@@ -384,6 +387,22 @@ def test_unwritable_output_exits_2(tmp_path, capsys, argv):
     assert err.startswith("error: cannot write") and len(err.splitlines()) == 1
     assert (tmp_path / "c5.txt").read_text() == C5
     assert not (tmp_path / "missing").exists()
+
+
+def test_unwritable_output_is_refused_before_the_audit(tmp_path, capsys, monkeypatch):
+    calls = []
+    real = meklerkit.omni.omni_check
+    monkeypatch.setattr(meklerkit.omni, "omni_check", lambda *a: calls.append(a) or real(*a))
+    monkeypatch.chdir(tmp_path)
+    write(tmp_path, "c2.txt", C2_GROUP)
+    argv = ["omni", "--dstage", "c2.txt", "--bound", "1", "2", "--h-bound", "2"]
+    assert main(argv + ["-o", "missing/x"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: cannot write") and len(err.splitlines()) == 1
+    assert calls == []
+    # the counter sees the audit once the output can be written
+    assert main(argv + ["-o", "x"]) == 0
+    assert calls and (tmp_path / "x").read_text().startswith("omni audit of")
 
 
 def test_reduce_unreadable_graph_path_with_newline(tmp_path, capsys):

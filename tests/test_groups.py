@@ -324,23 +324,58 @@ def assert_table_matches_reference(hom: Hom) -> None:
     ref = _reference_mapping(hom)
     els = hom.domain.elements()
     table = hom.mapping
-    assert len(table) == len(els) and list(table) == list(els)
-    for x in els:
-        assert table[x] == ref[x] and hom(x) == ref[x]
+    assert table.shape == (len(els), hom.codomain.degree)
+    for x, row in zip(els, table):  # row i is the image of elements()[i]
+        assert tuple(row.tolist()) == ref[x].images and hom(x) == ref[x]
     assert hom.is_injective() == (len(set(ref.values())) == len(els))
 
 
 def test_hom_table_dtype_and_lookup_contract():
     f = cayley_embedding_even(symmetric_group(3))
-    view = f.verify().mapping
-    assert view.table.shape == (6, 8) and view.table.dtype == np.int8
-    with pytest.raises(KeyError):
-        view[Perm.identity(8)]
-    # lookups make a fresh Perm each time and the view keeps none of them
-    x = symmetric_group(3).gens[0]
-    assert view[x] == view[x] and view[x] is not view[x]
+    table = f.verify().mapping
+    assert isinstance(table, np.ndarray) and f.mapping is table  # built once, kept
+    assert table.shape == (6, 8) and table.dtype == np.int8
     big = cyclic_group(200)
-    assert Hom(big, big, big.gens).mapping.table.dtype == np.int16
+    assert Hom(big, big, big.gens).mapping.dtype == np.int16
+    # hom(x) reads the row of x's domain position: a non-element has none
+    with pytest.raises(KeyError):
+        f(Perm.identity(8))
+    c3 = cyclic_group(3)
+    rotation = Hom(c3, c3, c3.gens)
+    with pytest.raises(KeyError):
+        rotation(Perm((1, 0, 2)))  # a transposition: the right degree, not in C3
+
+
+def assert_positions_read_the_images(hom: Hom) -> None:
+    pos = hom.codomain._indexed().pos
+    assert hom.positions() == [pos[hom(x)] for x in hom.domain.elements()]
+
+
+def test_positions_on_every_catalog_automorphism():
+    seen = 0
+    for g in small_groups_catalog(11):
+        for hom in _iso_search(g, g):
+            assert_positions_read_the_images(hom)
+            seen += 1
+    assert seen == 1 + 1 + 2 + 2 + 6 + 4 + 2 + 6 + 6 + 4 + 8 + 168 + 8 + 24 + 6 + 48 + 4 + 20 + 10
+
+
+@pytest.mark.parametrize("base", ["C2", "S4xC2"])
+def test_positions_of_the_tower_kernel_injection(base):
+    base = cyclic_group(2) if base == "C2" else PermGroup(
+        6, [Perm((1, 2, 3, 0, 4, 5)), Perm((1, 0, 2, 3, 4, 5)), Perm((0, 1, 2, 3, 5, 4))])
+    inject = make_cayley_tower(base, alternating_group(5), 0).sums[0].inject_b
+    assert_positions_read_the_images(inject)
+    assert len(set(inject.positions())) == 60
+
+
+def test_positions_refuse_a_codomain_past_the_budget():
+    # S3 into Alt(8): the table has 6 rows, but Alt(8) has 20,160 elements
+    f = cayley_embedding_even(symmetric_group(3))
+    assert f.codomain.order() > f.codomain.enum_budget
+    with pytest.raises(EnumerationBudgetError):
+        f.positions()
+    assert f._mapping is None  # the budget refused before the table was built
 
 
 @pytest.mark.parametrize("base", [cyclic_group(2), symmetric_group(3)], ids=["C2", "S3"])
@@ -361,7 +396,7 @@ def test_tower_hom_proofs_read_one_point_per_orbit():
     cayley = tower.f_maps[0]
     assert (cayley.name, phi.name) == ("cayley_even", "phi_0")
     for hom, points in ((cayley, [0]), (phi, [0, 4, 6])):
-        assert list(_orbit_columns(hom.mapping.table, hom.gen_images)) == points
+        assert list(_orbit_columns(hom.mapping, hom.gen_images)) == points
 
 
 def test_direct_sum_hom_tables_match_reference():
@@ -438,7 +473,7 @@ def test_hom_table_rejects_exactly_what_the_reference_rejects(dom, cod, data):
     else:
         assert_table_matches_reference(hom)
         # the points read cover every orbit: with the fixed points they reach every point
-        columns = _orbit_columns(hom.mapping.table, images)
+        columns = _orbit_columns(hom.mapping, images)
         fixed = {p for p in range(cod.degree) if all(fg(p) == p for fg in images)}
         reached = fixed.union(*columns.values())
         assert reached == set(range(cod.degree)) and not fixed & set(columns)

@@ -1,4 +1,4 @@
-"""Package layout: every module and every export has a caller."""
+"""Package layout: every module, export and public method has a caller."""
 
 import ast
 from pathlib import Path
@@ -84,10 +84,14 @@ def uncalled_exports(init: Path, callers) -> list:
                   if name not in mentioned and partner(name) not in mentioned)
 
 
-def test_every_export_has_a_caller():
+def caller_files() -> list:
+    """The package modules but `__init__`, the demos and the perfbench files."""
     callers = [path for path in PACKAGE.glob("*.py") if path.stem != "__init__"]
-    callers += sorted((REPO / "demos").glob("*.py")) + sorted((REPO / "perfbench").glob("*.py"))
-    assert uncalled_exports(PACKAGE / "__init__.py", callers) == []
+    return callers + sorted((REPO / "demos").glob("*.py")) + sorted((REPO / "perfbench").glob("*.py"))
+
+
+def test_every_export_has_a_caller():
+    assert uncalled_exports(PACKAGE / "__init__.py", caller_files()) == []
 
 
 def test_the_export_scan_counts_mentions_and_format_partners(tmp_path):
@@ -97,3 +101,47 @@ def test_the_export_scan_counts_mentions_and_format_partners(tmp_path):
     caller = tmp_path / "caller.py"
     caller.write_text("def unused():\n    return used(obj.attr, 'text', parse_x)\n")
     assert uncalled_exports(init, [caller]) == ["format_y", "parse_z", "unused"]
+
+
+# public methods kept although only the tests call them, with the reason
+KEPT_METHODS = {
+    "DirectSystem.limit_eq": "equality in the paper's limit group",
+    "DirectSystem.limit_multiply": "the product of the paper's limit group",
+    "DirectSystem.limit_inverse": "the inverse of the paper's limit group",
+    "PcGroup.all_elements": "the exhaustive oracles' enumeration of a graph group",
+    "PcGroup.element_index": "the exhaustive oracles' enumeration of a graph group",
+}
+
+
+def public_methods(init: Path) -> set:
+    """`Class.method` for each public method of a class that `init` re-exports,
+    read from the modules beside it."""
+    exported = reexported_names(init)
+    return {f"{node.name}.{item.name}"
+            for path in init.parent.glob("*.py")
+            for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+            if isinstance(node, ast.ClassDef) and node.name in exported
+            for item in node.body
+            if isinstance(item, ast.FunctionDef) and not item.name.startswith("_")}
+
+
+def uncalled_methods(init: Path, callers) -> list:
+    """Public methods whose name no caller mentions."""
+    mentioned = mentioned_names(callers)
+    return sorted(m for m in public_methods(init) if m.split(".")[1] not in mentioned)
+
+
+def test_every_public_method_has_a_caller():
+    assert uncalled_methods(PACKAGE / "__init__.py", caller_files()) == sorted(KEPT_METHODS)
+
+
+def test_the_method_scan_reads_exported_classes_only(tmp_path):
+    (tmp_path / "__init__.py").write_text("from .a import Shown\n")
+    (tmp_path / "a.py").write_text(
+        "class Shown:\n    def used(self): pass\n    def unused(self): pass\n"
+        "    def _private(self): pass\n    @property\n    def prop(self): pass\n"
+        "class Hidden:\n    def ignored(self): pass\n")
+    caller = tmp_path / "caller.py"
+    caller.write_text("x.used()\nx.prop\n")
+    assert public_methods(tmp_path / "__init__.py") == {"Shown.used", "Shown.unused", "Shown.prop"}
+    assert uncalled_methods(tmp_path / "__init__.py", [caller]) == ["Shown.unused"]
