@@ -255,7 +255,7 @@ class PermGroup:
         self.contains_hook = contains_hook
         self.enum_budget = enum_budget
         self._index = None  # see _indexed
-        self._lattice = (0, [])  # (order bound, [subgroup bitmask])
+        self._lattice = (0, {})  # (order bound, {subgroup bitmask: positions})
         self._containing = {}  # (seed positions, order bound) -> [(gen positions, order)]
 
     def identity(self) -> Perm:
@@ -727,6 +727,37 @@ def is_simple(g: PermGroup) -> SimplicityReport:
     return SimplicityReport(True, None)
 
 
+def _bits(mask: int) -> list[int]:
+    """The set positions of a mask, ascending."""
+    out = []
+    while mask:
+        low = mask & -mask
+        out.append(low.bit_length() - 1)
+        mask ^= low
+    return out
+
+
+def _subgroup_class(g: PermGroup, positions: list[int]) -> dict[int, list[int]]:
+    """The conjugacy class of the subgroup on `positions`, as {mask: positions}.
+
+    Each member's list is the image of `positions` under y -> s y s^-1 for
+    one s that carries the subgroup onto it, so it maps the given elements,
+    in the given order, to the member's.  The walk conjugates by g's
+    generators, reading s y s^-1 from `_Index.conjugators()`.
+    """
+    steps = g._indexed().conjugators()
+    members = {sum(1 << y for y in positions): positions}
+    queue = [positions]
+    for ys in queue:
+        for row, undo in steps:
+            zs = [undo[row[y]] for y in ys]
+            mask = sum(1 << z for z in zs)
+            if mask not in members:
+                members[mask] = zs
+                queue.append(zs)
+    return members
+
+
 def subgroups_containing(
     g: PermGroup, seed_gens, order_bound: int
 ) -> list[PermGroup]:
@@ -738,7 +769,10 @@ def subgroups_containing(
     on the masks alone, so H's generators are seed_gens + path.  g keeps each
     H's generator positions and order per (seed positions, order_bound), for
     any later lattice bound, and each call builds fresh groups from them.  The
-    build closes <K, x> once per coset Kx, for its first x, since
+    path search reads, for each K, only the masks that hold one element of K.
+    The build extends one subgroup per conjugacy class, since
+    s<K, x>s^-1 = <sKs^-1, sxs^-1>, and adds each new subgroup's whole class.
+    It closes <K, x> once per coset Kx, for its first x, since
     <K, kx> = <K, x>, and never when lcm(|K|, ord x) passes the bound.
     """
     els, pos = g.elements(), g._indexed().pos
@@ -754,42 +788,24 @@ def subgroups_containing(
 
 def _seeded_search(g: PermGroup, seed: tuple, order_bound: int) -> list[tuple[tuple, int]]:
     """(generator positions, order) of each subgroup `subgroups_containing` finds."""
-    ix = g._indexed()
-    els = ix.elements
-    bound = min(order_bound, len(els))
+    bound = min(order_bound, len(g.elements()))
     if g._lattice[0] < bound:
-        orders = [x.order() for x in els]
-        found = {1: ()}  # the trivial subgroup: position 0 alone
-        queue = list(found)
-        full = (1 << len(els)) - 1
-        for mask in queue:
-            if mask == full:
-                continue  # no coset outside K
-            rows = [ix.row(k) for k in range(len(els)) if mask >> k & 1]
-            done = mask
-            for x in range(len(els)):
-                if done >> x & 1:
-                    continue
-                for row in rows:  # mark the coset Kx, whose elements all give <K, x>
-                    done |= 1 << row[x]
-                if math.lcm(len(rows), orders[x]) > bound:
-                    continue
-                gens = found[mask] + (x,)
-                bigger = _closure_mask(g, gens, bound)
-                if bigger and bigger not in found:
-                    found[bigger] = gens
-                    queue.append(bigger)
-        found = sorted(found, key=lambda m: (m.bit_count(), sorted(
-            els[i].images for i in range(len(els)) if m >> i & 1)))
-        g._lattice = (bound, found)
+        g._lattice = (bound, _lattice(g, bound))
     base = _closure_mask(g, seed, order_bound)
     if base is None:
         return []
-    kept = [m for m in g._lattice[1] if m.bit_count() <= order_bound and not base & ~m]
+    kept = {m: ys for m, ys in g._lattice[1].items()
+            if len(ys) <= order_bound and not base & ~m}
+    holders = {}  # position y -> the kept masks that contain y, smallest first
+    for m, ys in kept.items():
+        for y in ys:
+            holders.setdefault(y, []).append(m)
     paths, queue = {base: seed}, [base]
     for k in queue:
         taken, steps = k, []
-        for m in kept:  # smallest first, so x's first hit is <K, x>
+        # every mask above K holds each y in K, so one holder list has them all;
+        # smallest first, so x's first hit is <K, x>
+        for m in min((holders[y] for y in kept[k]), key=len):
             if not k & ~m and (fresh := m & ~taken):
                 steps.append(((fresh & -fresh).bit_length() - 1, m))
                 taken |= m
@@ -797,7 +813,42 @@ def _seeded_search(g: PermGroup, seed: tuple, order_bound: int) -> list[tuple[tu
             if m not in paths:
                 paths[m] = paths[k] + (x,)
                 queue.append(m)
-    return [(paths[m], m.bit_count()) for m in kept]
+    return [(paths[m], len(ys)) for m, ys in kept.items()]
+
+
+def _lattice(g: PermGroup, bound: int) -> dict[int, list[int]]:
+    """Every subgroup of g of order <= bound, as {mask: positions}, sorted by
+    (order, sorted element images).  Only class representatives are extended."""
+    ix = g._indexed()
+    els = ix.elements
+    orders = [x.order() for x in els]
+    found = {1: [0]}  # every subgroup found: the trivial one is position 0 alone
+    reps = {1: ()}  # one per class, with the generator positions its closure took
+    queue = list(reps)
+    full = (1 << len(els)) - 1
+    for mask in queue:
+        if mask == full:
+            continue  # no coset outside K
+        rows = [ix.row(k) for k in found[mask]]
+        done = mask
+        for x in range(len(els)):
+            if done >> x & 1:
+                continue
+            for row in rows:  # mark the coset Kx, whose elements all give <K, x>
+                done |= 1 << row[x]
+            if math.lcm(len(rows), orders[x]) > bound:
+                continue
+            gens = reps[mask] + (x,)
+            bigger = _closure_mask(g, gens, bound)
+            if bigger and bigger not in found:
+                found.update(_subgroup_class(g, _bits(bigger)))
+                reps[bigger] = gens
+                queue.append(bigger)
+    rank = [0] * len(els)  # sorting positions by rank sorts their elements by images
+    for r, i in enumerate(sorted(range(len(els)), key=lambda i: els[i].images)):
+        rank[i] = r
+    return {m: found[m] for m in sorted(
+        found, key=lambda m: (len(found[m]), sorted(rank[y] for y in found[m])))}
 
 
 def subgroups(g: PermGroup, order_bound: int) -> list[PermGroup]:

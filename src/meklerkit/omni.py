@@ -21,6 +21,7 @@ from .groups import (
     _greedy_generators,
     _homs,
     _order_pool,
+    _subgroup_class,
     automorphisms,
     closure_elements,
     direct_sum,
@@ -205,13 +206,15 @@ def _psi_orbit_representatives(f_sub: PermGroup, g_grp: PermGroup, auts: PermGro
     """
     reps = {}
     for hom in enumerate_homs(f_sub, g_grp, injective_only=True):
-        key_raw = hom.positions()
-        canon = min(
-            tuple(alpha.images[i] for i in key_raw) for alpha in auts.elements()
-        )
+        canon = _canonical_key(hom.positions(), auts)
         if canon not in reps:
             reps[canon] = hom
     return [reps[k] for k in sorted(reps)]
+
+
+def _canonical_key(key: list[int], auts: PermGroup) -> tuple[int, ...]:
+    """The least image of G positions `key` under Aut(G): one key per orbit."""
+    return min(tuple(alpha.images[i] for i in key) for alpha in auts.elements())
 
 
 def _extending_generator(g: PermGroup, image: list[int]) -> int | None:
@@ -233,6 +236,12 @@ def omni_audit(
     isomorphism catalog of orders <= max_g; psi over injective homs up to
     Aut(G), keeping only single-generator extensions (some g in G together
     with psi(F) generates G).  Each row records the `omni_check` verdict.
+    `omni_check` runs only for R, the first F of each conjugacy class.  A
+    conjugate F = s R s^-1 keeps its own psi representatives and
+    fingerprints, and each of its rows takes the verdict, witness order and
+    flag of R's row in the Aut(G) orbit of psi o c_s (c_s: y -> s y s^-1),
+    since H -> s H s^-1 carries witnesses to witnesses of the same order and
+    the block is normal.
 
     `h_block` marks the {e} x H elements of a tower stage: rows with F
     inside that block, G embeddable into the block group, and no witness
@@ -250,38 +259,52 @@ def omni_audit(
                                 known_order=mask.bit_count(), enum_budget=gamma.enum_budget)
 
     rows = []
+    classes = {}  # F mask -> (its class's verdicts, c_s on the elements of R)
     for f_sub in subgroups(gamma, max_f):
+        f_pos = [gamma_pos[x] for x in f_sub.elements()]
         f_id = ",".join(str(gamma_pos[x]) for x in sorted(f_sub.elements()))
+        mask = sum(1 << i for i in f_pos)
+        if mask not in classes:  # F is R, the first of its class
+            verdicts = {}  # (catalog index, canonical psi key) -> row verdict, or None if no row
+            classes.update((m, (verdicts, zs)) for m, zs in _subgroup_class(gamma, f_pos).items())
+        verdicts, conj = classes[mask]
+        f_index = {z: j for j, z in enumerate(f_pos)}
         f_in_block = h_block is not None and set(f_sub.elements()) <= h_block
-        for g_ref, auts in catalog:
+        for gi, (g_ref, auts) in enumerate(catalog):
             g_els, g_pos = g_ref.elements(), g_ref._indexed().pos
             embeds_in_block = None  # computed lazily per (F in block, no witness)
             for psi in _psi_orbit_representatives(f_sub, g_ref, auts):
-                gen = _extending_generator(g_ref, [g_pos[psi(x)] for x in f_sub.gens])
-                if gen is None:
-                    continue  # not a single-generator extension of psi(F)
-                query = OmniQuery(gamma, f_sub, g_ref, psi, g_els[gen])
-                witness = omni_check(query, search_bound)
-                flag = ""
-                if witness is None and f_in_block:
-                    if embeds_in_block is None:
-                        embeds_in_block = bool(
-                            enumerate_homs(g_ref, block_group, injective_only=True)
-                        )
-                    if embeds_in_block:
-                        flag = "h-lift-miss"
-                fingerprint = "[" + ",".join(map(str, psi.positions())) + "]"
+                images = psi.positions()
+                # psi o c_s, a psi of R, has its verdict; c_s is the identity on R itself
+                key = gi, _canonical_key([images[f_index[z]] for z in conj], auts)
+                if key not in verdicts:
+                    verdicts[key] = None  # unless psi(F) and one element generate G
+                    gen = _extending_generator(g_ref, [g_pos[psi(x)] for x in f_sub.gens])
+                    if gen is not None:
+                        query = OmniQuery(gamma, f_sub, g_ref, psi, g_els[gen])
+                        witness = omni_check(query, search_bound)
+                        flag = ""
+                        if witness is None and f_in_block:
+                            if embeds_in_block is None:
+                                embeds_in_block = bool(
+                                    enumerate_homs(g_ref, block_group, injective_only=True)
+                                )
+                            if embeds_in_block:
+                                flag = "h-lift-miss"
+                        verdicts[key] = (witness.subgroup.order() if witness else None, flag)
+                verdict = verdicts[key]
+                if verdict is None:
+                    continue
+                witness_order, flag = verdict
                 rows.append(
                     OmniAuditRow(
                         f_order=f_sub.order(),
                         f_id=f_id,
                         g_name=g_ref.label(),
                         g_order=g_ref.order(),
-                        psi_fingerprint=fingerprint,
-                        witnessed=witness is not None,
-                        witness_order=(
-                            witness.subgroup.order() if witness else None
-                        ),
+                        psi_fingerprint="[" + ",".join(map(str, images)) + "]",
+                        witnessed=witness_order is not None,
+                        witness_order=witness_order,
                         search_bound=search_bound,
                         flag=flag,
                     )

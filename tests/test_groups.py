@@ -55,10 +55,13 @@ from meklerkit import (
     verify_hom_table,
 )
 from meklerkit.groups import (
+    _bits,
+    _closure_mask,
     _generating_sequence,
     _greedy_generators,
     _iso_search,
     _orbit_columns,
+    _subgroup_class,
 )
 
 
@@ -804,6 +807,81 @@ def test_pruned_lattice_matches_the_unpruned_search():
         for bound in (2, 6, 12):
             _same_search(lambda: direct_sum(cyclic_group(2), alternating_group(5)).group,
                          seed, bound)
+
+
+def _every_class_lattice(g, bound):
+    """The lattice build that extends every subgroup, not one per class, as reference.
+
+    Its masks, written out with the coset and lcm prunings and the final
+    sort by (order, sorted element images).
+    """
+    ix = g._indexed()
+    els = ix.elements
+    orders = [x.order() for x in els]
+    found = {1: ()}
+    queue = list(found)
+    full = (1 << len(els)) - 1
+    for mask in queue:
+        if mask == full:
+            continue
+        rows = [ix.row(k) for k in range(len(els)) if mask >> k & 1]
+        done = mask
+        for x in range(len(els)):
+            if done >> x & 1:
+                continue
+            for row in rows:
+                done |= 1 << row[x]
+            if math.lcm(len(rows), orders[x]) > bound:
+                continue
+            gens = found[mask] + (x,)
+            bigger = _closure_mask(g, gens, bound)
+            if bigger and bigger not in found:
+                found[bigger] = gens
+                queue.append(bigger)
+    return sorted(found, key=lambda m: (m.bit_count(), sorted(
+        els[i].images for i in range(len(els)) if m >> i & 1)))
+
+
+def _heisenberg_group():
+    """G(K_2 complement, 3), order 27: (x, y) -> (x, y + 1) and (x, y) -> (x + y, y) on F_3^2."""
+    pts = [(x, y) for x in range(3) for y in range(3)]
+    return PermGroup(9, [Perm([pts.index((x, (y + 1) % 3)) for x, y in pts]),
+                         Perm([pts.index(((x + y) % 3, y)) for x, y in pts])])
+
+
+def _stage(base):
+    return direct_sum(base, alternating_group(5)).group
+
+
+@pytest.mark.parametrize("base, bounds", [
+    (lambda: cyclic_group(2), range(2, 13)),
+    (lambda: symmetric_group(3), range(2, 13)),
+    (_heisenberg_group, [12]),
+    (lambda: symmetric_group(4), [12]),
+], ids=["C2", "S3", "Heisenberg", "S4"])
+def test_class_lattice_matches_every_class_extension(base, bounds):
+    # extending one subgroup per conjugacy class and adding each new class
+    # whole finds the same masks in the same order on stage 0 = A (+) Alt(5)
+    for bound in bounds:
+        g = _stage(base())
+        subgroups(g, bound)
+        assert g._lattice[0] == bound
+        assert list(g._lattice[1]) == _every_class_lattice(_stage(base()), bound)
+        assert all(sorted(ys) == _bits(m) for m, ys in g._lattice[1].items())
+
+
+def test_subgroup_class_maps_the_representative_by_conjugation():
+    g = _stage(cyclic_group(2))
+    els, pos = g.elements(), g._indexed().pos
+    conj = [[pos[s * y * ~s] for y in els] for s in els]  # conj[s][y]: s y s^-1
+    subgroups(g, 12)
+    for rep in g._lattice[1].values():
+        members = _subgroup_class(g, rep)
+        assert {frozenset(zs) for zs in members.values()} == {
+            frozenset(c[y] for y in rep) for c in conj}
+        assert all(m == sum(1 << z for z in zs) for m, zs in members.items())
+        for zs in members.values():  # one s carries rep onto zs, element by element
+            assert any(all(c[y] == z for y, z in zip(rep, zs)) for c in conj)
 
 
 def test_brute_iso_positive():

@@ -13,6 +13,7 @@ import random
 
 import pytest
 
+import meklerkit.groups
 from meklerkit import (
     DirectSystem,
     DTower,
@@ -150,6 +151,19 @@ def tower_laws(base):
         assert not rep.h_coordinate_trivial
         assert rep.contains_kernel
     return tower, sys
+
+
+@pytest.mark.parametrize("base", [cyclic_group(2), symmetric_group(3)], ids=["C2", "S3"])
+def test_quotient_is_A_checks_its_iso_once(monkeypatch, base):
+    # the all-pairs table check runs inside brute_iso's search and nowhere else
+    calls = []
+    real = meklerkit.groups.verify_hom_table
+    monkeypatch.setattr(meklerkit.groups, "verify_hom_table",
+                        lambda h: calls.append(h) or real(h))
+    sys = build_D(make_cayley_tower(base, alternating_group(5), 0))
+    q = quotient_is_A(sys, 0)
+    assert q.verified and q.iso.is_injective()
+    assert len(calls) == 1 and calls[0] is q.iso
 
 
 def test_tower_laws_c2():

@@ -7,12 +7,14 @@ import itertools
 
 import pytest
 
+import meklerkit.omni
 from meklerkit import (
     Hom,
     OmniQuery,
     Perm,
     PermGroup,
     alternating_group,
+    automorphisms,
     build_D,
     closure_elements,
     cyclic_group,
@@ -29,7 +31,8 @@ from meklerkit import (
     trivial_group,
     verify_hom_table,
 )
-from meklerkit.omni import _extending_generator
+from meklerkit.groups import _greedy_generators
+from meklerkit.omni import OmniAuditRow, _extending_generator
 
 
 def test_lift_every_hom_in_catalog():
@@ -196,6 +199,73 @@ def test_audit_report_bytes_pinned():
     )
     digest = hashlib.sha256(rep.format_text().encode("utf-8")).hexdigest()
     assert digest.startswith("bf207a6b4262")
+
+
+def _per_row_audit(gamma, max_f, max_g, search_bound, h_block):
+    """The audit rows with `omni_check` run on every row, as reference.
+
+    Every F, every psi orbit representative and every flag is searched and
+    computed on its own, with no reuse across conjugate F.
+    """
+    gamma_pos = gamma._indexed().pos
+    block_gens, mask = _greedy_generators(
+        gamma, [i for i, x in enumerate(gamma.elements()) if x in h_block])
+    block_group = PermGroup(gamma.degree, [gamma.elements()[i] for i in block_gens],
+                            known_order=mask.bit_count())
+    rows = []
+    for f_sub in subgroups(gamma, max_f):
+        f_id = ",".join(str(gamma_pos[x]) for x in sorted(f_sub.elements()))
+        for g_ref in small_groups_catalog(max_g):
+            auts = automorphisms(g_ref)
+            g_els, g_pos = g_ref.elements(), g_ref._indexed().pos
+            reps = {}
+            for hom in enumerate_homs(f_sub, g_ref, injective_only=True):
+                key = [g_pos[hom(x)] for x in f_sub.elements()]
+                canon = min(tuple(alpha.images[i] for i in key) for alpha in auts.elements())
+                reps.setdefault(canon, hom)
+            for canon in sorted(reps):
+                psi = reps[canon]
+                gen = _extending_generator(g_ref, [g_pos[psi(x)] for x in f_sub.gens])
+                if gen is None:
+                    continue
+                witness = omni_check(OmniQuery(gamma, f_sub, g_ref, psi, g_els[gen]),
+                                     search_bound)
+                in_block = set(f_sub.elements()) <= h_block
+                flag = "h-lift-miss" if witness is None and in_block and enumerate_homs(
+                    g_ref, block_group, injective_only=True) else ""
+                rows.append(OmniAuditRow(
+                    f_order=f_sub.order(), f_id=f_id, g_name=g_ref.label(),
+                    g_order=g_ref.order(),
+                    psi_fingerprint="[" + ",".join(str(g_pos[psi(x)])
+                                                   for x in f_sub.elements()) + "]",
+                    witnessed=witness is not None,
+                    witness_order=witness.subgroup.order() if witness else None,
+                    search_bound=search_bound, flag=flag))
+    return tuple(rows)
+
+
+@pytest.mark.parametrize("base, search_bound", [
+    (cyclic_group(2), 4), (cyclic_group(2), 12), (symmetric_group(3), 12),
+], ids=["C2-4", "C2-12", "S3-12"])
+def test_audit_up_to_conjugacy_matches_the_per_row_audit(base, search_bound):
+    # rows of a conjugate F reuse its class representative's verdicts
+    sys = build_D(make_cayley_tower(base, alternating_group(5), 0))
+    kernel = kernel_at_stage(sys, 0)
+    rep = omni_audit(sys.stages[0], 2, 6, search_bound=search_bound, h_block=kernel)
+    want = _per_row_audit(build_D(make_cayley_tower(base, alternating_group(5), 0)).stages[0],
+                          2, 6, search_bound, kernel)
+    assert rep.rows == want
+    assert any(r.flag == "h-lift-miss" for r in want) == (search_bound == 4)
+
+
+def test_default_reduce_audit_searches_one_f_per_class(monkeypatch):
+    # 161 rows; the subgroups of order <= 2 of C2 (+) Alt(5) fall into 4 classes
+    calls = []
+    real = meklerkit.omni.omni_check
+    monkeypatch.setattr(meklerkit.omni, "omni_check", lambda *a: calls.append(a) or real(*a))
+    sys = build_D(make_cayley_tower(cyclic_group(2), alternating_group(5), 0))
+    rep = omni_audit(sys.stages[0], 2, 6, search_bound=12, h_block=kernel_at_stage(sys, 0))
+    assert len(rep.rows) == 161 and len(calls) == 21
 
 
 def _literal_extending_generator(g, image):
