@@ -256,7 +256,6 @@ class PermGroup:
         self.enum_budget = enum_budget
         self._index = None  # see _indexed
         self._lattice = (0, {})  # (order bound, {subgroup bitmask: positions})
-        self._containing = {}  # (seed positions, order bound) -> [(gen positions, order)]
 
     def identity(self) -> Perm:
         return Perm.identity(self.degree)
@@ -268,9 +267,6 @@ class PermGroup:
 
     def elements(self) -> tuple[Perm, ...]:
         return self._indexed().elements
-
-    def element_set(self) -> frozenset:
-        return frozenset(self._indexed().pos)
 
     def _indexed(self) -> _Index:
         """The group's one index, built by one `_closure` walk over its gens."""
@@ -629,17 +625,27 @@ def _order_pool(x: Perm, codomain: PermGroup, exact: bool = False) -> list[Perm]
             if (y.order() == n if exact else n % y.order() == 0)]
 
 
-def _homs(domain: PermGroup, codomain: PermGroup, pools):
-    """Homs sending generator i into pools[i], lazily, in product order.
+def _homs(domain: PermGroup, codomain: PermGroup, candidates):
+    """Homs sending the generators to each candidate tuple of images, lazily, in order.
 
     Candidates whose table build finds a conflict are skipped, so every
     yielded Hom is verified.
     """
-    for images in itertools.product(*pools):
+    for images in candidates:
         try:
             yield Hom(domain, codomain, images).verify()
         except ValueError:
             continue
+
+
+def _onto(codomain: PermGroup, pools):
+    """The tuples of `itertools.product(*pools)`, in product order, that generate codomain:
+    a hom is onto exactly when its generator images do, so no table is needed."""
+    ix = codomain._indexed()
+    n = len(ix.elements)
+    for images in itertools.product(*pools):
+        if _closure_mask(codomain, [ix.pos[y] for y in images], n) == (1 << n) - 1:
+            yield images
 
 
 # ---------------------------------------------------------------------------
@@ -766,10 +772,8 @@ def subgroups_containing(
     Cyclic-extension search: grow by one element at a time, deduplicating by
     element set.  The lattice is built once per group, up to the largest bound
     asked, as bitmasks of element positions; the search from <seed_gens> runs
-    on the masks alone, so H's generators are seed_gens + path.  g keeps each
-    H's generator positions and order per (seed positions, order_bound), for
-    any later lattice bound, and each call builds fresh groups from them.  The
-    path search reads, for each K, only the masks that hold one element of K.
+    on the masks alone, so H's generators are seed_gens + path.  The path
+    search reads, for each K, only the masks that hold one element of K.
     The build extends one subgroup per conjugacy class, since
     s<K, x>s^-1 = <sKs^-1, sxs^-1>, and adds each new subgroup's whole class.
     It closes <K, x> once per coset Kx, for its first x, since
@@ -779,11 +783,9 @@ def subgroups_containing(
     if not all(x in pos for x in seed_gens):
         raise ValueError("element outside the group")
     seed = tuple(pos[x] for x in seed_gens)
-    if (seed, order_bound) not in g._containing:
-        g._containing[seed, order_bound] = _seeded_search(g, seed, order_bound)
     return [PermGroup(g.degree, [els[i] for i in gens], known_order=order,
                       enum_budget=g.enum_budget)
-            for gens, order in g._containing[seed, order_bound]]
+            for gens, order in _seeded_search(g, seed, order_bound)]
 
 
 def _seeded_search(g: PermGroup, seed: tuple, order_bound: int) -> list[tuple[tuple, int]]:
@@ -901,9 +903,9 @@ def _iso_search(g: PermGroup, h: PermGroup):
     pools = [[y for y in _order_pool(x, h, exact=True) if size_h[y] == size_g[x]]
              for x in seq]
     domain = PermGroup(g.degree, seq, known_order=g.order(), enum_budget=g.enum_budget)
-    for hom in _homs(domain, h, pools):
-        if (hom.is_injective() and len(hom.mapping) == h.order()
-                and verify_hom_table(hom)):
+    # |g| = |h| here, so a map onto h is bijective
+    for hom in _homs(domain, h, _onto(h, pools)):
+        if verify_hom_table(hom):
             yield hom
 
 
@@ -993,7 +995,7 @@ def enumerate_homs(
     lose homs, so the listing is complete.
     """
     pools = [_order_pool(x, g, exact=injective_only) for x in f.gens]
-    return [hom for hom in _homs(f, g, pools)
+    return [hom for hom in _homs(f, g, itertools.product(*pools))
             if not injective_only or hom.is_injective()]
 
 

@@ -234,8 +234,8 @@ def quotient_is_A(sys: DirectSystem, stage: int) -> QuotientCheck:
     kernel = kernel_at_stage(sys, stage)
     quo = quotient_group(g, kernel)
     iso = brute_iso(quo.group, tower.base)
-    # brute_iso yields only maps that already passed is_injective and the
-    # all-pairs verify_hom_table inside _iso_search
+    # brute_iso yields only bijections (onto A from a group of A's order) that
+    # already passed the all-pairs verify_hom_table inside _iso_search
     verified = iso is not None
     return QuotientCheck(stage, quo.group, iso, verified)
 

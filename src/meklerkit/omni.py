@@ -17,9 +17,9 @@ from .groups import (
     Hom,
     Perm,
     PermGroup,
-    _closure_mask,
     _greedy_generators,
     _homs,
+    _onto,
     _order_pool,
     _subgroup_class,
     automorphisms,
@@ -84,8 +84,7 @@ class OmniQuery:
     def validate(self) -> "OmniQuery":
         if self.sub_f.degree != self.gamma.degree:
             raise ValueError("F must act on gamma's points")
-        gamma_els = self.gamma.element_set()
-        if not set(self.sub_f.elements()) <= gamma_els:
+        if not all(x in self.gamma for x in self.sub_f.elements()):
             raise ValueError("F is not a subgroup of gamma")
         if self.psi.domain is not self.sub_f or self.psi.codomain is not self.target:
             raise ValueError("psi must map F into the target")
@@ -106,41 +105,41 @@ class OmniWitness:
     surj: Hom            # H -> target, surjective, extends psi
 
 
-def _extensions_of_psi(h: PermGroup, query: OmniQuery):
-    """Surjections h -> target restricted to psi on F, in deterministic order.
+def _first_witness(query: OmniQuery, containing) -> OmniWitness | None:
+    """The first H of `containing` with a surjection onto the target extending psi.
 
-    h comes from the containment search, so its generator list starts with
-    F's generators; those images are forced, and the remaining generators
-    range over order-divisibility candidates, which cannot create false
-    negatives.
+    `containing` lists the subgroups H >= F in search order, each generated by
+    F's generators and then its search path.  |target| must divide |H|.  F's
+    generators go to psi's images, the rest range over order-divisibility
+    candidates, which loses no hom, and only candidates that generate the
+    target get a hom table.
     """
+    target = query.target
     fixed = [[query.psi(x)] for x in query.sub_f.gens]
-    pools = fixed + [_order_pool(x, query.target) for x in h.gens[len(fixed):]]
     f_els = query.sub_f.elements()
-    for hom in _homs(h, query.target, pools):
-        if hom.is_surjective() and all(hom(x) == query.psi(x) for x in f_els):
-            yield hom
+    for h in containing:
+        if h.order() % target.order() != 0:
+            continue
+        pools = fixed + [_order_pool(x, target) for x in h.gens[len(fixed):]]
+        for hom in _homs(h, target, _onto(target, pools)):
+            if all(hom(x) == query.psi(x) for x in f_els):
+                if not verify_hom_table(hom):
+                    raise AssertionError("witness failed the table check")
+                return OmniWitness(h, hom)
+    return None
 
 
 def omni_check(query: OmniQuery, search_bound: int) -> OmniWitness | None:
     """Exhaustive bounded witness search; None is a proof within the bound.
 
     Subgroups H with F <= H <= gamma and |H| <= search_bound are visited in
-    deterministic (order, element-set) order; |target| must divide |H| for a
-    surjection to exist, so other orders are skipped soundly.  gamma's
-    subgroup lattice is built once per group instance, so each call only
-    filters it by F (see `subgroups_containing`).
+    deterministic (order, element-set) order.  gamma's subgroup lattice is
+    built once per group instance, so each call only filters it by F (see
+    `subgroups_containing`).
     """
     query.validate()
-    t_order = query.target.order()
-    for h in subgroups_containing(query.gamma, query.sub_f.gens, search_bound):
-        if h.order() % t_order != 0:
-            continue
-        for hom in _extensions_of_psi(h, query):
-            if not verify_hom_table(hom):
-                raise AssertionError("witness failed the table check")
-            return OmniWitness(h, hom)
-    return None
+    containing = subgroups_containing(query.gamma, query.sub_f.gens, search_bound)
+    return _first_witness(query, containing)
 
 
 # ---------------------------------------------------------------------------
@@ -217,12 +216,6 @@ def _canonical_key(key: list[int], auts: PermGroup) -> tuple[int, ...]:
     return min(tuple(alpha.images[i] for i in key) for alpha in auts.elements())
 
 
-def _extending_generator(g: PermGroup, image: list[int]) -> int | None:
-    """The first position c of g with <image, c> = g, or None."""
-    n = len(g.elements())
-    return next((c for c in range(n) if _closure_mask(g, image + [c], n) == (1 << n) - 1), None)
-
-
 def omni_audit(
     gamma: PermGroup,
     max_f: int,
@@ -236,12 +229,12 @@ def omni_audit(
     isomorphism catalog of orders <= max_g; psi over injective homs up to
     Aut(G), keeping only single-generator extensions (some g in G together
     with psi(F) generates G).  Each row records the `omni_check` verdict.
-    `omni_check` runs only for R, the first F of each conjugacy class.  A
-    conjugate F = s R s^-1 keeps its own psi representatives and
-    fingerprints, and each of its rows takes the verdict, witness order and
-    flag of R's row in the Aut(G) orbit of psi o c_s (c_s: y -> s y s^-1),
-    since H -> s H s^-1 carries witnesses to witnesses of the same order and
-    the block is normal.
+    The witness search runs only for R, the first F of each conjugacy class,
+    over one list of the subgroups containing R.  A conjugate F = s R s^-1
+    keeps its own psi representatives and fingerprints, and each of its rows
+    takes the verdict, witness order and flag of R's row in the Aut(G) orbit
+    of psi o c_s (c_s: y -> s y s^-1), since H -> s H s^-1 carries witnesses
+    to witnesses of the same order and the block is normal.
 
     `h_block` marks the {e} x H elements of a tower stage: rows with F
     inside that block, G embeddable into the block group, and no witness
@@ -270,8 +263,8 @@ def omni_audit(
         verdicts, conj = classes[mask]
         f_index = {z: j for j, z in enumerate(f_pos)}
         f_in_block = h_block is not None and set(f_sub.elements()) <= h_block
+        containing = None  # the subgroups H >= F, listed on F's first search
         for gi, (g_ref, auts) in enumerate(catalog):
-            g_els, g_pos = g_ref.elements(), g_ref._indexed().pos
             embeds_in_block = None  # computed lazily per (F in block, no witness)
             for psi in _psi_orbit_representatives(f_sub, g_ref, auts):
                 images = psi.positions()
@@ -279,10 +272,13 @@ def omni_audit(
                 key = gi, _canonical_key([images[f_index[z]] for z in conj], auts)
                 if key not in verdicts:
                     verdicts[key] = None  # unless psi(F) and one element generate G
-                    gen = _extending_generator(g_ref, [g_pos[psi(x)] for x in f_sub.gens])
+                    pools = [[psi(x)] for x in f_sub.gens] + [g_ref.elements()]
+                    gen = next((ims[-1] for ims in _onto(g_ref, pools)), None)
                     if gen is not None:
-                        query = OmniQuery(gamma, f_sub, g_ref, psi, g_els[gen])
-                        witness = omni_check(query, search_bound)
+                        if containing is None:
+                            containing = subgroups_containing(gamma, f_sub.gens, search_bound)
+                        query = OmniQuery(gamma, f_sub, g_ref, psi, gen).validate()
+                        witness = _first_witness(query, containing)
                         flag = ""
                         if witness is None and f_in_block:
                             if embeds_in_block is None:

@@ -341,6 +341,18 @@ def test_omni_dstage_report_over_s3_is_pinned(tmp_path, capsys):
     )
 
 
+def test_omni_dstage_report_over_the_heisenberg_group_is_pinned(tmp_path, capsys):
+    # G(K2bar, 3) on F_3^2, non-abelian of odd order 27: stage 0 has order 1,620
+    grp = write(tmp_path, "heis.txt", "p group 9\ng: 1 2 0 4 5 3 7 8 6\ng: 0 4 8 3 7 2 6 1 5\n")
+    code = main(["omni", "--dstage", grp, "--bound", "2", "6", "--h-bound", "12"])
+    assert code == 1
+    out = capsys.readouterr().out
+    assert "\nrows: 81\nunwitnessed: 16\n" in out
+    assert hashlib.sha256(out.encode()).hexdigest() == (
+        "f7a970ff650e3538a0b718166c86450995bc2fba725216aca03f339262380589"
+    )
+
+
 @pytest.mark.parametrize("command", ["mekler", "center", "recover", "reduce"])
 def test_non_prime_p_exits_2(tmp_path, capsys, command):
     src = write(tmp_path, "c5.txt", C5)
@@ -391,8 +403,8 @@ def test_unwritable_output_exits_2(tmp_path, capsys, argv):
 
 def test_unwritable_output_is_refused_before_the_audit(tmp_path, capsys, monkeypatch):
     calls = []
-    real = meklerkit.omni.omni_check
-    monkeypatch.setattr(meklerkit.omni, "omni_check", lambda *a: calls.append(a) or real(*a))
+    real = meklerkit.omni._first_witness
+    monkeypatch.setattr(meklerkit.omni, "_first_witness", lambda *a: calls.append(a) or real(*a))
     monkeypatch.chdir(tmp_path)
     write(tmp_path, "c2.txt", C2_GROUP)
     argv = ["omni", "--dstage", "c2.txt", "--bound", "1", "2", "--h-bound", "2"]

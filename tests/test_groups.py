@@ -60,6 +60,7 @@ from meklerkit.groups import (
     _generating_sequence,
     _greedy_generators,
     _iso_search,
+    _onto,
     _orbit_columns,
     _subgroup_class,
 )
@@ -484,7 +485,7 @@ def test_hom_table_rejects_exactly_what_the_reference_rejects(dom, cod, data):
             assert {fg(q) for fg in images for q in col} == set(col)
 
 
-def test_memoised_subgroups_containing_matches_a_fresh_group():
+def test_subgroups_containing_on_a_reused_group_matches_a_fresh_group():
     def shape(groups):
         return [(h.gens, h.order()) for h in groups]
 
@@ -494,9 +495,8 @@ def test_memoised_subgroups_containing_matches_a_fresh_group():
     first.clear()  # each call returns a fresh list
     again = subgroups_containing(g, seed, 8)
     assert again and again is not subgroups_containing(g, seed, 8)
-    assert (tuple(map(g._indexed().pos.get, seed)), 8) in g._containing  # positions, bound
     assert shape(again) == shape(subgroups_containing(symmetric_group(4), seed, 8))
-    # the seed's order is part of the key: the generators start with it
+    # the generators start with the seed, in the seed's order
     swapped = subgroups_containing(g, seed[::-1], 8)
     assert [h.gens[:2] for h in swapped] == [tuple(seed[::-1])] * len(swapped)
     subgroups_containing(g, seed, 24)  # a larger bound rebuilds the lattice
@@ -612,7 +612,7 @@ def test_normal_closure_against_sympy():
             want = {Perm(tuple(p.array_form)) for p in
                     oracle.normal_closure(Permutation(list(x.images))).elements}
             got = normal_closure(g, x)
-            assert got.element_set() == want and got.order() == len(want), (g, x)
+            assert frozenset(got.elements()) == want and got.order() == len(want), (g, x)
             if g is stage and not x.is_identity():
                 rep = check_normal_absorption(sys_d, 0, x)
                 assert rep.closure_order == len(want), x
@@ -658,7 +658,7 @@ def test_subgroups_respect_bound_and_seed():
     seed = [Perm((1, 0, 2, 3))]
     containing = subgroups_containing(s4, seed, 8)
     for h in containing:
-        assert seed[0] in h.element_set()
+        assert seed[0] in frozenset(h.elements())
         assert tuple(h.gens[: len(seed)]) == tuple(seed)
     assert any(h.order() == 8 for h in containing)
 
@@ -674,7 +674,7 @@ def test_subgroups_containing_matches_brute_filter():
     s4 = symmetric_group(4)
     lattice = [frozenset(h.elements()) for h in subgroups(symmetric_group(4), 24)]
     for f in subgroups(s4, 24):
-        f_set = f.element_set()
+        f_set = frozenset(f.elements())
         for bound in range(1, 25):
             got = subgroups_containing(s4, f.gens, bound)
             want = [h for h in lattice if f_set <= h and len(h) <= bound]
@@ -701,7 +701,7 @@ def test_seeded_search_adds_as_few_generators_as_the_search_depth():
         got = subgroups_containing(s4, f.gens, 24)
         assert len(got) == len(depth)
         for h in got:
-            assert len(h.gens) - len(f.gens) == depth[h.element_set()]
+            assert len(h.gens) - len(f.gens) == depth[frozenset(h.elements())]
 
 
 def test_subgroup_lattice_memo_is_per_instance():
@@ -905,6 +905,59 @@ def test_brute_iso_negative():
     # different order must separate immediately
     got = iso_invariant_mismatch(cyclic_group(4), cyclic_group(5))
     assert got is not None and got[0] == "order"
+
+
+def _literal_iso_search(g: PermGroup, h: PermGroup):
+    """The iso search with a hom table for every candidate, kept when it is
+    injective with as many rows as h has elements."""
+    if iso_invariant_mismatch(g, h) is not None:
+        return
+    seq = _generating_sequence(g)
+    size_h = {y: len(c) for c in conjugacy_classes(h) for y in c}
+    size_g = {x: len(c) for c in conjugacy_classes(g) for x in c}
+    pools = [[y for y in h.elements() if y.order() == x.order() and size_h[y] == size_g[x]]
+             for x in seq]
+    domain = PermGroup(g.degree, seq, known_order=g.order())
+    for images in itertools.product(*pools):
+        try:
+            hom = Hom(domain, h, images).verify()
+        except ValueError:
+            continue
+        if hom.is_injective() and len(hom.mapping) == h.order() and verify_hom_table(hom):
+            yield hom
+
+
+def test_iso_search_matches_the_injective_filter():
+    # every catalog pair of one order, and each group against a relabelled copy
+    rng = random.Random(18)
+    catalog = small_groups_catalog(11)
+    copies = []
+    for g in catalog:
+        sigma = random_perm(rng, g.degree)
+        copies.append(PermGroup(g.degree, [sigma * x * ~sigma for x in g.gens]))
+    pairs = [(g, h, h is g or h is c) for g, c in zip(catalog, copies)
+             for h in catalog + copies if g.order() == h.order()]
+    assert len(pairs) == 2 * 47
+    for g, h, isomorphic in pairs:
+        want = [hom.gen_images for hom in _literal_iso_search(g, h)]
+        assert [hom.gen_images for hom in _iso_search(g, h)] == want, (g.label(), h.label())
+        assert bool(want) == isomorphic
+
+
+def test_onto_keeps_exactly_the_generating_tuples_against_sympy():
+    rng = random.Random(18)
+    kept = dropped = 0
+    for g in small_groups_catalog(11):
+        els = g.elements()
+        for size in (1, 2, 2, 3):
+            pools = [rng.sample(els, min(3, len(els))) for _ in range(size)]
+            want = [t for t in itertools.product(*pools) if PermutationGroup(
+                [Permutation(list(y.images)) for y in t]).order() == g.order()]
+            got = list(_onto(g, pools))
+            assert got == want, (g.label(), pools)
+            kept += len(got)
+            dropped += math.prod(map(len, pools)) - len(got)
+    assert kept and dropped
 
 
 def all_bijective_homs(g: PermGroup, h: PermGroup):

@@ -27,12 +27,13 @@ from meklerkit import (
     omni_check,
     small_groups_catalog,
     subgroups,
+    subgroups_containing,
     symmetric_group,
     trivial_group,
     verify_hom_table,
 )
-from meklerkit.groups import _greedy_generators
-from meklerkit.omni import OmniAuditRow, _extending_generator
+from meklerkit.groups import _greedy_generators, _onto
+from meklerkit.omni import OmniAuditRow
 
 
 def test_lift_every_hom_in_catalog():
@@ -108,7 +109,7 @@ def test_omni_witness_found_in_s4():
     # the witness map restricted to F is psi
     for x in f_sub.elements():
         assert wit.surj(x) == psi(x)
-    assert f_sub.gens[0] in wit.subgroup.element_set()
+    assert f_sub.gens[0] in frozenset(wit.subgroup.elements())
 
 
 def test_omni_none_is_exhaustive_within_bound():
@@ -217,7 +218,7 @@ def _per_row_audit(gamma, max_f, max_g, search_bound, h_block):
         f_id = ",".join(str(gamma_pos[x]) for x in sorted(f_sub.elements()))
         for g_ref in small_groups_catalog(max_g):
             auts = automorphisms(g_ref)
-            g_els, g_pos = g_ref.elements(), g_ref._indexed().pos
+            g_pos = g_ref._indexed().pos
             reps = {}
             for hom in enumerate_homs(f_sub, g_ref, injective_only=True):
                 key = [g_pos[hom(x)] for x in f_sub.elements()]
@@ -225,11 +226,10 @@ def _per_row_audit(gamma, max_f, max_g, search_bound, h_block):
                 reps.setdefault(canon, hom)
             for canon in sorted(reps):
                 psi = reps[canon]
-                gen = _extending_generator(g_ref, [g_pos[psi(x)] for x in f_sub.gens])
+                gen = _literal_extending_generator(g_ref, [psi(x) for x in f_sub.gens])
                 if gen is None:
                     continue
-                witness = omni_check(OmniQuery(gamma, f_sub, g_ref, psi, g_els[gen]),
-                                     search_bound)
+                witness = omni_check(OmniQuery(gamma, f_sub, g_ref, psi, gen), search_bound)
                 in_block = set(f_sub.elements()) <= h_block
                 flag = "h-lift-miss" if witness is None and in_block and enumerate_homs(
                     g_ref, block_group, injective_only=True) else ""
@@ -258,14 +258,63 @@ def test_audit_up_to_conjugacy_matches_the_per_row_audit(base, search_bound):
     assert any(r.flag == "h-lift-miss" for r in want) == (search_bound == 4)
 
 
-def test_default_reduce_audit_searches_one_f_per_class(monkeypatch):
-    # 161 rows; the subgroups of order <= 2 of C2 (+) Alt(5) fall into 4 classes
+def _recorded(monkeypatch, name):
+    """The argument tuples of every call to `meklerkit.omni.<name>`, as they happen."""
     calls = []
-    real = meklerkit.omni.omni_check
-    monkeypatch.setattr(meklerkit.omni, "omni_check", lambda *a: calls.append(a) or real(*a))
+    real = getattr(meklerkit.omni, name)
+    monkeypatch.setattr(meklerkit.omni, name, lambda *a: calls.append(a) or real(*a))
+    return calls
+
+
+def test_default_reduce_audit_searches_one_f_per_class(monkeypatch):
+    # 161 rows; the subgroups of order <= 2 of C2 (+) Alt(5) fall into 4 classes,
+    # and each class lists the subgroups containing its first F once
+    searches = _recorded(monkeypatch, "_first_witness")
+    listings = _recorded(monkeypatch, "subgroups_containing")
     sys = build_D(make_cayley_tower(cyclic_group(2), alternating_group(5), 0))
     rep = omni_audit(sys.stages[0], 2, 6, search_bound=12, h_block=kernel_at_stage(sys, 0))
-    assert len(rep.rows) == 161 and len(calls) == 21
+    assert len(rep.rows) == 161 and len(searches) == 21 and len(listings) == 4
+    assert len({id(containing) for _, containing in searches}) == 4
+
+
+def _literal_witness(query, search_bound):
+    """The witness search written out: a hom table for every candidate image
+    tuple, then the onto test on the table and agreement with psi on F."""
+    target, f_gens = query.target, query.sub_f.gens
+    for h in subgroups_containing(query.gamma, f_gens, search_bound):
+        if h.order() % target.order():
+            continue
+        pools = [[query.psi(x)] for x in f_gens] + [
+            [y for y in target.elements() if x.order() % y.order() == 0]
+            for x in h.gens[len(f_gens):]]
+        for images in itertools.product(*pools):
+            try:
+                hom = Hom(h, target, images).verify()
+            except ValueError:
+                continue
+            if hom.is_surjective() and all(
+                    hom(x) == query.psi(x) for x in query.sub_f.elements()):
+                return h, hom
+    return None
+
+
+@pytest.mark.parametrize("base", [cyclic_group(2), symmetric_group(3)], ids=["C2", "S3"])
+def test_witness_search_matches_the_literal_search(monkeypatch, base):
+    # every row the (2, 6, 12) audit searches: the same H and the same images
+    searches = _recorded(monkeypatch, "_first_witness")
+    stage = build_D(make_cayley_tower(base, alternating_group(5), 0)).stages[0]
+    omni_audit(stage, 2, 6, search_bound=12)
+    queries = [query for query, _ in searches]  # omni_check below adds calls of its own
+    assert len(queries) == 21
+    witnessed = 0
+    for query in queries:
+        got, want = omni_check(query, 12), _literal_witness(query, 12)
+        assert (got is None) == (want is None)
+        if got is not None:
+            assert got.subgroup.gens == want[0].gens
+            assert got.surj.gen_images == want[1].gen_images
+            witnessed += 1
+    assert 0 < witnessed < len(queries)
 
 
 def _literal_extending_generator(g, image):
@@ -277,14 +326,13 @@ def _literal_extending_generator(g, image):
 
 
 def test_extending_generator_matches_the_literal_choice():
+    # the audit's extending generator: the last entry of the first `_onto` tuple
     for g in small_groups_catalog(11):
         els = g.elements()
-        n = len(els)
-        pairs = [list(p) for p in itertools.combinations(range(n), 2)]
-        for image in [[]] + [[a] for a in range(n)] + pairs:
-            got = _extending_generator(g, image)
-            want = _literal_extending_generator(g, [els[i] for i in image])
-            assert (None if got is None else els[got]) == want, (g.label(), image)
+        pairs = [list(p) for p in itertools.combinations(els, 2)]
+        for image in [[]] + [[a] for a in els] + pairs:
+            got = next((ims[-1] for ims in _onto(g, [[y] for y in image] + [els])), None)
+            assert got == _literal_extending_generator(g, image), (g.label(), image)
 
 
 def test_audit_respects_lagrange_pruning_soundness():
