@@ -361,6 +361,47 @@ def _kv(key, value):
     return (key, str(value))
 
 
+_HOM_SAMPLES = 1000  # seeded product pairs and image rows in reduce's stage 2
+_SAMPLE_BLOCK = 1 << 16  # target coordinates per row block of the transport check
+
+
+def _transport_sample(hom: PcHom, seed: int) -> tuple[int, int, int]:
+    """(hom failures, distinct sources, distinct images) of the seeded sample.
+
+    Four blocks of `_HOM_SAMPLES` source rows, a1, b1, a2, b2, are drawn in
+    that order from `random.Random(seed)`.  Row i fails when h(x1) h(x2) and
+    h(x1 x2) differ; the images h(x1) are counted by their bytes in the
+    target's working dtype.  The target rows are built one block of about
+    `_SAMPLE_BLOCK` coordinates at a time, so memory does not grow with
+    the sample size times the target's pair count.
+    """
+    src, dst = hom.source, hom.target
+    rng = random.Random(seed)
+
+    def sample_block(width):
+        flat = [rng.randrange(src.p) for _ in range(_HOM_SAMPLES * width)]
+        return np.array(flat, dtype=np.int64).reshape(_HOM_SAMPLES, width)
+
+    a1, b1 = sample_block(src.n), sample_block(src.num_pairs)
+    a2, b2 = sample_block(src.n), sample_block(src.num_pairs)
+    sources = {row.tobytes() for row in np.concatenate([a1, b1], axis=-1)}
+    images: set[bytes] = set()
+    failures = 0
+    rows = max(1, _SAMPLE_BLOCK // (dst.n + dst.num_pairs))
+    for lo in range(0, _HOM_SAMPLES, rows):
+        x1, y1 = a1[lo:lo + rows], b1[lo:lo + rows]
+        x2, y2 = a2[lo:lo + rows], b2[lo:lo + rows]
+        ta1, tb1 = hom.apply_arrays(x1, y1)
+        ta2, tb2 = hom.apply_arrays(x2, y2)
+        tpa, tpb = dst.multiply_arrays(ta1, tb1, ta2, tb2)
+        ha, hb = hom.apply_arrays(*src.multiply_arrays(x1, y1, x2, y2))
+        failures += int(np.count_nonzero(
+            np.any(tpa != ha, axis=-1) | np.any(tpb != hb, axis=-1)))
+        keys = np.concatenate([ta1, tb1], axis=-1).astype(dst._dtype)
+        images.update(row.tobytes() for row in keys)
+    return failures, len(sources), len(images)
+
+
 def cmd_reduce(args) -> int:
     outdir = Path(args.out)
     try:
@@ -459,31 +500,9 @@ def cmd_reduce(args) -> int:
         write_artifact("mekler_group.txt", format_manifest(_mekler_sections(pc)))
         pc_big = build_mekler(extended, args.p)
         hom = PcHom(pc, pc_big, inclusion)
-        rng = random.Random(args.seed)
-        samples = 1000
-        dims_a, dims_b = pc.n, pc.num_pairs
-        def sample_block(width):
-            flat = [rng.randrange(args.p) for _ in range(samples * width)]
-            return np.array(flat, dtype=np.int64).reshape(samples, width)
-
-        a1, b1 = sample_block(dims_a), sample_block(dims_b)
-        a2, b2 = sample_block(dims_a), sample_block(dims_b)
-        pa, pb = pc.multiply_arrays(a1, b1, a2, b2)
-        ta1, tb1 = hom.apply_arrays(a1, b1)
-        ta2, tb2 = hom.apply_arrays(a2, b2)
-        tpa, tpb = pc_big.multiply_arrays(ta1, tb1, ta2, tb2)
-        ha, hb = hom.apply_arrays(pa, pb)
-        hom_failures = int(
-            np.count_nonzero(np.any(tpa != ha, axis=-1) | np.any(tpb != hb, axis=-1))
+        hom_failures, distinct_sources, distinct_images = _transport_sample(
+            hom, args.seed
         )
-        source_keys = {
-            tuple(row) for row in np.concatenate([a1, b1], axis=-1).tolist()
-        }
-        image_keys = {
-            tuple(row) for row in np.concatenate([ta1, tb1], axis=-1).tolist()
-        }
-        distinct_sources = len(source_keys)
-        distinct_images = len(image_keys)
         inj_ok = distinct_images == distinct_sources
         verdicts.append(hom_failures == 0 and inj_ok)
         sections.append(
@@ -491,7 +510,7 @@ def cmd_reduce(args) -> int:
                 _kv("gamma_order", pc.order_expression()),
                 _kv("gamma_prime_order", pc_big.order_expression()),
                 _kv("injection", "identity on vertex coordinates"),
-                _kv("hom_samples", samples),
+                _kv("hom_samples", _HOM_SAMPLES),
                 _kv("hom_failures", hom_failures),
                 _kv("injectivity_samples", distinct_sources),
                 _kv("injectivity_clashes", distinct_sources - distinct_images),
@@ -506,7 +525,7 @@ def cmd_reduce(args) -> int:
                         _kv("target_order", pc_big.order_expression()),
                         _kv("vertex_injection",
                             ",".join(map(str, inclusion)) or "-"),
-                        _kv("hom_samples", samples),
+                        _kv("hom_samples", _HOM_SAMPLES),
                         _kv("hom_failures", hom_failures),
                     ]
                 ]

@@ -1,17 +1,21 @@
 """Command line behavior: exit codes, output formats, determinism."""
 
 import hashlib
+import random
+import tracemalloc
 
+import numpy as np
 import pytest
 
 import meklerkit.omni
-from meklerkit import parse_graph, parse_manifest
+from meklerkit import PcGroup, PcHom, build_mekler, extend, parse_graph, parse_manifest
 from meklerkit.cli import (
     DEFAULT_ENUM_BUDGET,
     DEFAULT_POINT_BUDGET,
     _build_tower,
     _load_base,
     _tower_sections,
+    _transport_sample,
     main,
 )
 
@@ -19,6 +23,11 @@ C5 = "p graph 5\ne 0 1\ne 1 2\ne 2 3\ne 3 4\ne 0 4\n"
 K3 = "p graph 3\ne 0 1\ne 0 2\ne 1 2\n"
 K2 = "p graph 2\ne 0 1\n"
 P3 = "p graph 3\ne 0 1\ne 1 2\n"
+K1 = "p graph 1\n"
+
+
+def cycle(n):
+    return f"p graph {n}\n" + "".join(f"e {i} {(i + 1) % n}\n" for i in range(n))
 
 C2_GROUP = "p group 2\ng: 1 0\n"
 C4_GROUP = "p group 4\ng: 1 2 3 0\n"
@@ -503,3 +512,138 @@ def test_reduce_artifacts_and_determinism(tmp_path, capsys):
     # `tower` prints the same manifest that reduce writes as tower.txt
     assert main(["tower"]) == 0
     assert capsys.readouterr().out == (runs[0] / "tower.txt").read_text()
+
+
+C6_REDUCE_MANIFEST_SHA256 = "9905470264b7c6e737beb3d677fa7971365c6eb0febf0c4f04c83c3a0b02e6ce"
+
+
+def test_reduce_over_c6_writes_the_golden_manifest(tmp_path, capsys):
+    src = write(tmp_path, "c6.txt", cycle(6))
+    outdir = tmp_path / "run"
+    assert main(["reduce", src, "--p", "3", "--out", str(outdir)]) == 0
+    capsys.readouterr()
+    text = (outdir / "manifest.txt").read_text()
+    info = flat(text)
+    assert (info["status"], info["omni_rows"], info["omni_unwitnessed"]) == ("complete", "161", "63")
+    assert hashlib.sha256(text.encode()).hexdigest() == C6_REDUCE_MANIFEST_SHA256
+
+
+# ---------------------------------------------------------------------------
+# reduce's stage 2: the seeded transport sample
+# ---------------------------------------------------------------------------
+
+def reduce_hom(text, p):
+    """The transport that `reduce` checks: the graph group into that of its extension."""
+    g = parse_graph(text)
+    return PcHom(build_mekler(g, p), build_mekler(extend(g), p), range(g.n))
+
+
+def _whole_sample_reference(hom, seed):
+    """Stage 2 as it was before the row blocks: every sampled row at once."""
+    pc, pc_big = hom.source, hom.target
+    rng = random.Random(seed)
+    samples = 1000
+    dims_a, dims_b = pc.n, pc.num_pairs
+    def sample_block(width):
+        flat = [rng.randrange(pc.p) for _ in range(samples * width)]
+        return np.array(flat, dtype=np.int64).reshape(samples, width)
+
+    a1, b1 = sample_block(dims_a), sample_block(dims_b)
+    a2, b2 = sample_block(dims_a), sample_block(dims_b)
+    pa, pb = pc.multiply_arrays(a1, b1, a2, b2)
+    ta1, tb1 = hom.apply_arrays(a1, b1)
+    ta2, tb2 = hom.apply_arrays(a2, b2)
+    tpa, tpb = pc_big.multiply_arrays(ta1, tb1, ta2, tb2)
+    ha, hb = hom.apply_arrays(pa, pb)
+    hom_failures = int(
+        np.count_nonzero(np.any(tpa != ha, axis=-1) | np.any(tpb != hb, axis=-1))
+    )
+    source_keys = {
+        tuple(row) for row in np.concatenate([a1, b1], axis=-1).tolist()
+    }
+    image_keys = {
+        tuple(row) for row in np.concatenate([ta1, tb1], axis=-1).tolist()
+    }
+    return hom_failures, len(source_keys), len(image_keys)
+
+
+@pytest.mark.parametrize("seed", [0, 97])
+@pytest.mark.parametrize("text, p", [(cycle(5), 3), (cycle(5), 5), (cycle(6), 3), (K1, 3)],
+                         ids=["c5-p3", "c5-p5", "c6-p3", "one-vertex-p3"])
+def test_transport_sample_matches_the_whole_sample(text, p, seed):
+    hom = reduce_hom(text, p)
+    assert _transport_sample(hom, seed) == _whole_sample_reference(hom, seed)
+
+
+@pytest.mark.parametrize("seed", [0, 97])
+def test_forced_one_vertex_reduce_reports_the_whole_sample(tmp_path, capsys, seed):
+    # the one-vertex graph group has no pair coordinates
+    src = write(tmp_path, "k1.txt", K1)
+    outdir = tmp_path / "run"
+    argv = ["reduce", src, "--p", "3", "--force", "--seed", str(seed), "--out", str(outdir)]
+    assert main(argv) == 0
+    capsys.readouterr()
+    info = flat((outdir / "manifest.txt").read_text())
+    failures, sources, images = _whole_sample_reference(reduce_hom(K1, 3), seed)
+    assert info["hom_failures"] == str(failures) == "0"
+    assert info["injectivity_samples"] == str(sources)
+    assert info["injectivity_clashes"] == str(sources - images) == "0"
+
+
+def test_transport_sample_walks_c5_in_row_blocks(monkeypatch):
+    # C5 extends to 37 vertices and 581 pairs: 2^16 // 618 = 106 rows a block,
+    # and 1000 = 9 x 106 + 46
+    rows = []
+    real = PcGroup.multiply_arrays
+
+    def counted(self, *arrays):
+        rows.append(len(arrays[0]))
+        return real(self, *arrays)
+
+    monkeypatch.setattr(PcGroup, "multiply_arrays", counted)
+    _transport_sample(reduce_hom(cycle(5), 3), 0)
+    assert rows == [106] * 18 + [46] * 2  # the source and the target product per block
+
+
+def test_a_broken_transport_is_counted_once(tmp_path, capsys, monkeypatch):
+    hom = reduce_hom(C5, 3)
+    pc = hom.source
+    rng = random.Random(0)
+    a1, b1, a2, b2 = (
+        np.array([rng.randrange(3) for _ in range(1000 * w)], dtype=np.int64).reshape(1000, w)
+        for w in (pc.n, pc.num_pairs, pc.n, pc.num_pairs)
+    )
+    row = 150  # in the second block of 106 rows
+    bad_a, bad_b = pc.multiply_arrays(a1[row], b1[row], a2[row], b2[row])
+    real = PcHom.apply_arrays
+
+    def broken(self, a, b):
+        # wrong on the one source element x1 x2 of the chosen row
+        ta, tb = real(self, a, b)
+        hit = np.all(np.asarray(a) == bad_a, axis=-1) & np.all(np.asarray(b) == bad_b, axis=-1)
+        ta[hit, 0] = (ta[hit, 0] + 1) % 3
+        return ta, tb
+
+    monkeypatch.setattr(PcHom, "apply_arrays", broken)
+    assert _transport_sample(hom, 0)[0] == 1
+    src = write(tmp_path, "c5.txt", C5)
+    outdir = tmp_path / "run"
+    assert main(["reduce", src, "--p", "3", "--out", str(outdir)]) == 1
+    capsys.readouterr()
+    info = flat((outdir / "manifest.txt").read_text())
+    assert info["hom_failures"] == "1"
+    assert info["status"] == "verification-failure"
+
+
+def test_transport_sample_memory_stays_flat_on_c7():
+    # C7 extends to 135 vertices and 8,590 pairs; the whole sample held
+    # about 400 MB of target rows at once
+    hom = reduce_hom(cycle(7), 3)
+    tracemalloc.start()
+    try:
+        failures, sources, images = _transport_sample(hom, 0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert failures == 0 and sources == images
+    assert peak < 16 * 2**20
