@@ -39,6 +39,7 @@ from .groups import (
 )
 from .limits import (
     DEFAULT_POINT_BUDGET,
+    LimitElement,
     build_D,
     check_normal_absorption,
     kernel_at_stage,
@@ -271,12 +272,10 @@ def _build_tower(base, depth: int, point_budget: int, enum_budget: int):
     return tower, build_D(tower)
 
 
-def _stage0_audit(sys_d, args):
+def _stage0_audit(tower, args):
     """The omni audit of stage 0, flagging rows inside its {e} x H_0 block."""
-    kernel = kernel_at_stage(sys_d, 0)
-    return omni_audit(
-        sys_d.stages[0], *args.bound, search_bound=args.h_bound, h_block=kernel
-    )
+    block = tower.sums[0].inject_b
+    return omni_audit(block.codomain, *args.bound, search_bound=args.h_bound, h_block=block)
 
 
 def cmd_omni(args) -> int:
@@ -287,8 +286,8 @@ def cmd_omni(args) -> int:
         _check_at_least("--h-bound", args.h_bound, 1)
     if args.dstage:
         base = _load_base(args.dstage)
-        _, sys_d = _build_tower(base, 0, DEFAULT_POINT_BUDGET, args.budget_enum)
-        report = _stage0_audit(sys_d, args)
+        tower, _ = _build_tower(base, 0, DEFAULT_POINT_BUDGET, args.budget_enum)
+        report = _stage0_audit(tower, args)
     else:
         gamma = _load_group(args.group, args.budget_enum)
         report = omni_audit(gamma, *args.bound, search_bound=args.h_bound)
@@ -299,16 +298,14 @@ def cmd_omni(args) -> int:
 def _tower_sections(tower, sys_d) -> tuple[list, bool]:
     """The tower manifest (header and checks) and whether every check held."""
     g0 = sys_d.stages[0]
-    stage0 = [sys_d.element(0, x) for x in g0.elements()]
     # row i of phi_0's table is phi_0(g0.elements()[i]); pi reads its first da points
     da = tower.base.degree
     pi_ok = tower.depth == 0 or np.array_equal(
-        sys_d.maps[0].mapping[:, :da], [e0.value.images[:da] for e0 in stage0]
+        sys_d.maps[0].mapping[:, :da], [x.images[:da] for x in g0.elements()]
     )
     kernel = kernel_at_stage(sys_d, 0)
-    member_ok = all(
-        project_pi(sys_d, e0).is_identity() == (e0.value in kernel) for e0 in stage0
-    )
+    member_ok = all(project_pi(sys_d, LimitElement(0, x)).is_identity() == (x in kernel)
+                    for x in g0.elements())
     quo = quotient_is_A(sys_d, 0)
     inject = tower.sums[0].inject_b
     absorption = [check_normal_absorption(sys_d, 0, inject(t))
@@ -541,7 +538,7 @@ def cmd_reduce(args) -> int:
         write_artifact("tower.txt", format_manifest(tower_sections))
         sections.append(tower_sections[-1])
 
-        audit_report = _stage0_audit(sys_d, args)
+        audit_report = _stage0_audit(tower, args)
         write_artifact("omni_report.txt", audit_report.format_text())
         sections.append(
             [

@@ -260,11 +260,6 @@ class PermGroup:
     def identity(self) -> Perm:
         return Perm.identity(self.degree)
 
-    def is_enumerable(self) -> bool:
-        # an unknown order is worth a try: the enumeration is budget-guarded
-        return (self._index is not None or self.known_order is None
-                or self.known_order <= self.enum_budget)
-
     def elements(self) -> tuple[Perm, ...]:
         return self._indexed().elements
 
@@ -433,28 +428,19 @@ def direct_sum(a: PermGroup, b: PermGroup) -> DirectSum:
     except EnumerationBudgetError:
         known = None
 
-    hook = None
-    a_hook = a.contains_hook
-    b_hook = b.contains_hook
-
     def block_hook(p: Perm) -> bool:
         images = p.images
         if any(x >= da for x in images[:da]):
             return False  # mixes the two blocks
-        # p keeps both blocks, so each half is a permutation of its block
-        qa = Perm._make(images[:da])
-        qb = Perm._make(tuple(x - da for x in images[da:]))
-        in_a = a_hook(qa) if a_hook else (qa in a)
-        in_b = b_hook(qb) if b_hook else (qb in b)
-        return in_a and in_b
-
-    if (a_hook or a.is_enumerable()) and (b_hook or b.is_enumerable()):
-        hook = block_hook
+        # p keeps both blocks, so each half is a permutation of its block; a
+        # factor answers by its own hook or its index, which raises past its budget
+        return (Perm._make(images[:da]) in a
+                and Perm._make(tuple(x - da for x in images[da:])) in b)
 
     name = f"{a.label()}(+){b.label()}"
     budget = min(a.enum_budget, b.enum_budget)
     group = PermGroup(da + db, left + right, name=name, known_order=known,
-                      contains_hook=hook, enum_budget=budget)
+                      contains_hook=block_hook, enum_budget=budget)
     ia = Hom(a, group, left, name="inject_a")
     ib = Hom(b, group, right, name="inject_b")
     pa = Hom(group, a, list(a.gens) + [a.identity()] * len(right), name="project_a")
@@ -903,10 +889,12 @@ def _iso_search(g: PermGroup, h: PermGroup):
     pools = [[y for y in _order_pool(x, h, exact=True) if size_h[y] == size_g[x]]
              for x in seq]
     domain = PermGroup(g.degree, seq, known_order=g.order(), enum_budget=g.enum_budget)
-    # |g| = |h| here, so a map onto h is bijective
+    # |g| = |h| here, so a map onto h is bijective; it is handed back on g itself,
+    # whose generators and element order can differ from the search domain's
     for hom in _homs(domain, h, _onto(h, pools)):
-        if verify_hom_table(hom):
-            yield hom
+        iso = Hom(g, h, [hom(x) for x in g.gens])
+        if verify_hom_table(iso):
+            yield iso
 
 
 def brute_iso(g: PermGroup, h: PermGroup) -> Hom | None:

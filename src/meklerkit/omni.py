@@ -17,7 +17,6 @@ from .groups import (
     Hom,
     Perm,
     PermGroup,
-    _greedy_generators,
     _homs,
     _onto,
     _order_pool,
@@ -221,7 +220,7 @@ def omni_audit(
     max_f: int,
     max_g: int,
     search_bound: int | None = None,
-    h_block: frozenset | None = None,
+    h_block: Hom | None = None,
 ) -> OmniAuditReport:
     """Audit every bounded extension-property instance inside gamma.
 
@@ -236,20 +235,20 @@ def omni_audit(
     of psi o c_s (c_s: y -> s y s^-1), since H -> s H s^-1 carries witnesses
     to witnesses of the same order and the block is normal.
 
-    `h_block` marks the {e} x H elements of a tower stage: rows with F
-    inside that block, G embeddable into the block group, and no witness
-    are flagged, since the limit argument promises a witness one stage up.
+    `h_block` is the block injection H -> gamma of a tower stage, whose
+    image is {e} x H: rows with F inside that block, G embeddable into H,
+    and no witness are flagged, since the limit argument promises a witness
+    one stage up.
     """
     if search_bound is None:
         search_bound = gamma.order()
     gamma_pos = gamma._indexed().pos
     catalog = [(g_grp, automorphisms(g_grp)) for g_grp in small_groups_catalog(max_g)]
-    block_group = None
+    block = None  # the mask of {e} x H over gamma's positions
     if h_block is not None:
-        block_gens, mask = _greedy_generators(
-            gamma, [i for i, x in enumerate(gamma.elements()) if x in h_block])
-        block_group = PermGroup(gamma.degree, [gamma.elements()[i] for i in block_gens],
-                                known_order=mask.bit_count(), enum_budget=gamma.enum_budget)
+        if h_block.codomain is not gamma:
+            raise ValueError("h_block must map into gamma")
+        block = sum(1 << i for i in h_block.positions())
 
     rows = []
     classes = {}  # F mask -> (its class's verdicts, c_s on the elements of R)
@@ -262,7 +261,7 @@ def omni_audit(
             classes.update((m, (verdicts, zs)) for m, zs in _subgroup_class(gamma, f_pos).items())
         verdicts, conj = classes[mask]
         f_index = {z: j for j, z in enumerate(f_pos)}
-        f_in_block = h_block is not None and set(f_sub.elements()) <= h_block
+        f_in_block = block is not None and not mask & ~block
         containing = None  # the subgroups H >= F, listed on F's first search
         for gi, (g_ref, auts) in enumerate(catalog):
             embeds_in_block = None  # computed lazily per (F in block, no witness)
@@ -283,7 +282,7 @@ def omni_audit(
                         if witness is None and f_in_block:
                             if embeds_in_block is None:
                                 embeds_in_block = bool(
-                                    enumerate_homs(g_ref, block_group, injective_only=True)
+                                    enumerate_homs(g_ref, h_block.domain, injective_only=True)
                                 )
                             if embeds_in_block:
                                 flag = "h-lift-miss"

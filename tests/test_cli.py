@@ -1,6 +1,7 @@
 """Command line behavior: exit codes, output formats, determinism."""
 
 import hashlib
+import json
 import random
 import tracemalloc
 
@@ -8,7 +9,17 @@ import numpy as np
 import pytest
 
 import meklerkit.omni
-from meklerkit import PcGroup, PcHom, build_mekler, extend, parse_graph, parse_manifest
+from meklerkit import (
+    Hom,
+    PcGroup,
+    PcHom,
+    Perm,
+    build_mekler,
+    extend,
+    parse_graph,
+    parse_group,
+    parse_manifest,
+)
 from meklerkit.cli import (
     DEFAULT_ENUM_BUDGET,
     DEFAULT_POINT_BUDGET,
@@ -138,6 +149,22 @@ def test_iso_positive(tmp_path, capsys):
     out = capsys.readouterr().out
     assert "isomorphic: yes" in out
     assert "map:" in out
+
+
+def test_iso_prints_a_true_image_for_every_generator(tmp_path, capsys):
+    # the left group's 3-cycle is given twice, so the iso search's greedy
+    # generating sequence is not its generator list
+    left = "p group 3\ng: 1 2 0\ng: 2 0 1\ng: 1 0 2\n"
+    right = "p group 3\ng: 1 0 2\ng: 1 2 0\n"
+    a = write(tmp_path, "left.txt", left)
+    b = write(tmp_path, "right.txt", right)
+    assert main(["iso", a, b]) == 0
+    lines = [ln[len("map: "):].split(" -> ") for ln in capsys.readouterr().out.splitlines()
+             if ln.startswith("map: ")]
+    g, h = parse_group(left), parse_group(right)
+    assert [Perm(json.loads(src)) for src, _ in lines] == list(g.gens)
+    iso = Hom(g, h, [Perm(json.loads(im)) for _, im in lines])
+    assert iso.verify().is_injective()
 
 
 def test_iso_negative_names_invariant(tmp_path, capsys):
@@ -359,6 +386,20 @@ def test_omni_dstage_report_over_the_heisenberg_group_is_pinned(tmp_path, capsys
     assert "\nrows: 81\nunwitnessed: 16\n" in out
     assert hashlib.sha256(out.encode()).hexdigest() == (
         "f7a970ff650e3538a0b718166c86450995bc2fba725216aca03f339262380589"
+    )
+
+
+def test_omni_dstage_report_with_flagged_rows_is_pinned(tmp_path, capsys):
+    # |H| <= 4 leaves S3 targets over F inside the {e} x Alt(5) block unwitnessed,
+    # and S3 embeds in Alt(5): the one CLI run whose report raises h-lift-miss
+    grp = write(tmp_path, "c2.txt", C2_GROUP)
+    code = main(["omni", "--dstage", grp, "--bound", "2", "6", "--h-bound", "4"])
+    assert code == 1
+    out = capsys.readouterr().out
+    assert "\nrows: 161\nunwitnessed: 96\nflagged: 16\n" in out
+    assert out.count("| h-lift-miss\n") == 16
+    assert hashlib.sha256(out.encode()).hexdigest() == (
+        "3fdeb53583d9b700ad9d771609025a7739ccf235c5016edbed8323889397fd3c"
     )
 
 

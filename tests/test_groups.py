@@ -55,6 +55,7 @@ from meklerkit import (
     verify_hom_table,
 )
 from meklerkit.groups import (
+    _PAIR_TABLE_LIMIT,
     _bits,
     _closure_mask,
     _generating_sequence,
@@ -233,7 +234,6 @@ def test_quaternion_is_really_q8():
 
 def test_enumeration_budget():
     big = alternating_group(9)
-    assert not big.is_enumerable()
     with pytest.raises(EnumerationBudgetError):
         big.elements()
     # order and membership still work without enumeration
@@ -268,6 +268,30 @@ def test_direct_sum_structure():
     s3.enum_budget = 10
     with pytest.raises(EnumerationBudgetError):
         direct_sum(c2, s3).group.elements()
+
+
+def test_direct_sum_past_a_hookless_factor_budget_names_the_factor():
+    # S9 has no membership hook and 362,880 elements, past the 20,000 budget: the
+    # sum's block hook asks S9 whether its generators' B-halves are members
+    with pytest.raises(EnumerationBudgetError, match="order 362880 "):
+        direct_sum(cyclic_group(2), symmetric_group(9))
+
+
+def _sign_map(n: int) -> Hom:
+    c2 = cyclic_group(2)
+    sn = symmetric_group(n)
+    return Hom(sn, c2, [Perm.identity(2) if g.is_even() else c2.gens[0] for g in sn.gens])
+
+
+@pytest.mark.parametrize("n", [3, 7], ids=["S3-all-pairs", "S7-generator-pairs"])
+def test_verify_hom_table_sees_one_corrupted_row(n):
+    # S3 takes the all-pairs branch, S7 (5,040 elements) the generator-pair one
+    sign = _sign_map(n)
+    assert (len(sign.domain.elements()) <= _PAIR_TABLE_LIMIT) == (n == 3)
+    assert verify_hom_table(sign)
+    row = len(sign.mapping) // 2
+    sign._mapping[row] = sign._mapping[row][::-1].copy()  # the other element of C2
+    assert not verify_hom_table(sign)
 
 
 def test_hom_verify_and_kernel():
@@ -987,6 +1011,33 @@ def test_automorphism_counts_against_oracle():
             assert expected == sum(1 for _ in all_bijective_homs(g, g))
 
 
+# S3 on three points, its 3-cycle given twice: the greedy generating sequence
+# of the iso search is not the group's own generator list
+REDUNDANT_S3 = "p group 3\ng: 1 2 0\ng: 2 0 1\ng: 1 0 2\n"
+
+
+def test_iso_search_hands_back_homs_on_the_given_group():
+    g = parse_group(REDUNDANT_S3)
+    assert _generating_sequence(g) != list(g.gens)
+    h = symmetric_group(3)
+    isos = list(_iso_search(g, h))
+    assert len(isos) == 6
+    for iso in isos:
+        assert iso.domain is g and iso.is_injective()
+        assert all(iso(x * y) == iso(x) * iso(y) for x in g.elements() for y in g.elements())
+
+
+def test_automorphisms_of_a_redundantly_generated_group_are_its_position_maps():
+    g = parse_group(REDUNDANT_S3)
+    els, pos = g.elements(), g._indexed().pos
+    auts = automorphisms(g)
+    assert auts.order() == 6 and len(auts.elements()) == 6
+    for alpha in auts.elements():
+        image = [els[i] for i in alpha.images]  # image[i] = alpha(els[i])
+        assert all(image[pos[x * y]] == image[i] * image[j]
+                   for i, x in enumerate(els) for j, y in enumerate(els))
+
+
 def test_automorphism_group_has_greedy_generators_and_every_automorphism():
     for g in small_groups_catalog(11):
         pos = g._indexed().pos
@@ -1127,7 +1178,7 @@ def test_generating_sequence_matches_the_literal_greedy_choice():
         assert _generating_sequence(g) == _literal_generating_sequence(g), g.label()
     stage = direct_sum(cyclic_group(2), alternating_group(5)).group
     assert _generating_sequence(stage) == _literal_generating_sequence(stage)
-    # a candidate subset, as the omni block group passes it: the {e} x Alt(5) block
+    # a candidate subset: the {e} x Alt(5) block
     els = stage.elements()
     block = [i for i, x in enumerate(els) if x.images[:2] == (0, 1)]
     gens, mask = _greedy_generators(stage, block)

@@ -177,27 +177,27 @@ def test_audit_includes_every_subgroup_and_catalog_pair():
 
 def test_audit_h_block_flags():
     tower = make_cayley_tower(cyclic_group(2), alternating_group(5), 0)
-    sys = build_D(tower)
-    gamma = sys.stages[0]
-    kernel = kernel_at_stage(sys, 0)
+    gamma = tower.sums[0].group
+    block = tower.sums[0].inject_b
     # with a tight search bound, S3 targets over kernel-supported F cannot
     # be witnessed below order 6, and S3 does embed into the block
-    rep = omni_audit(gamma, 2, 6, search_bound=4, h_block=kernel)
+    rep = omni_audit(gamma, 2, 6, search_bound=4, h_block=block)
     assert rep.flagged
     for row in rep.flagged:
         assert not row.witnessed
         assert row.flag == "h-lift-miss"
     # with the full bound those same rows become witnessed inside the kernel
-    full = omni_audit(gamma, 2, 6, search_bound=120, h_block=kernel)
+    full = omni_audit(gamma, 2, 6, search_bound=120, h_block=block)
     assert not full.flagged
+    # the block must be an injection into gamma itself
+    with pytest.raises(ValueError):
+        omni_audit(symmetric_group(3), 2, 6, h_block=block)
 
 
 def test_audit_report_bytes_pinned():
     # the omni_report.txt artifact of the default `reduce` run
-    sys = build_D(make_cayley_tower(cyclic_group(2), alternating_group(5), 0))
-    rep = omni_audit(
-        sys.stages[0], 2, 6, search_bound=12, h_block=kernel_at_stage(sys, 0)
-    )
+    block = make_cayley_tower(cyclic_group(2), alternating_group(5), 0).sums[0].inject_b
+    rep = omni_audit(block.codomain, 2, 6, search_bound=12, h_block=block)
     digest = hashlib.sha256(rep.format_text().encode("utf-8")).hexdigest()
     assert digest.startswith("bf207a6b4262")
 
@@ -249,11 +249,11 @@ def _per_row_audit(gamma, max_f, max_g, search_bound, h_block):
 ], ids=["C2-4", "C2-12", "S3-12"])
 def test_audit_up_to_conjugacy_matches_the_per_row_audit(base, search_bound):
     # rows of a conjugate F reuse its class representative's verdicts
+    tower = make_cayley_tower(base, alternating_group(5), 0)
+    rep = omni_audit(tower.sums[0].group, 2, 6, search_bound=search_bound,
+                     h_block=tower.sums[0].inject_b)
     sys = build_D(make_cayley_tower(base, alternating_group(5), 0))
-    kernel = kernel_at_stage(sys, 0)
-    rep = omni_audit(sys.stages[0], 2, 6, search_bound=search_bound, h_block=kernel)
-    want = _per_row_audit(build_D(make_cayley_tower(base, alternating_group(5), 0)).stages[0],
-                          2, 6, search_bound, kernel)
+    want = _per_row_audit(sys.stages[0], 2, 6, search_bound, kernel_at_stage(sys, 0))
     assert rep.rows == want
     assert any(r.flag == "h-lift-miss" for r in want) == (search_bound == 4)
 
@@ -271,8 +271,8 @@ def test_default_reduce_audit_searches_one_f_per_class(monkeypatch):
     # and each class lists the subgroups containing its first F once
     searches = _recorded(monkeypatch, "_first_witness")
     listings = _recorded(monkeypatch, "subgroups_containing")
-    sys = build_D(make_cayley_tower(cyclic_group(2), alternating_group(5), 0))
-    rep = omni_audit(sys.stages[0], 2, 6, search_bound=12, h_block=kernel_at_stage(sys, 0))
+    block = make_cayley_tower(cyclic_group(2), alternating_group(5), 0).sums[0].inject_b
+    rep = omni_audit(block.codomain, 2, 6, search_bound=12, h_block=block)
     assert len(rep.rows) == 161 and len(searches) == 21 and len(listings) == 4
     assert len({id(containing) for _, containing in searches}) == 4
 
