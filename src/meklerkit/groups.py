@@ -255,7 +255,6 @@ class PermGroup:
         self.contains_hook = contains_hook
         self.enum_budget = enum_budget
         self._index = None  # see _indexed
-        self._lattice = (0, {})  # (order bound, {subgroup bitmask: positions})
 
     def identity(self) -> Perm:
         return Perm.identity(self.degree)
@@ -755,35 +754,21 @@ def subgroups_containing(
 ) -> list[PermGroup]:
     """All subgroups H with <seed_gens> <= H <= g and |H| <= order_bound.
 
-    Cyclic-extension search: grow by one element at a time, deduplicating by
-    element set.  The lattice is built once per group, up to the largest bound
-    asked, as bitmasks of element positions; the search from <seed_gens> runs
-    on the masks alone, so H's generators are seed_gens + path.  The path
-    search reads, for each K, only the masks that hold one element of K.
-    The build extends one subgroup per conjugacy class, since
-    s<K, x>s^-1 = <sKs^-1, sxs^-1>, and adds each new subgroup's whole class.
-    It closes <K, x> once per coset Kx, for its first x, since
-    <K, kx> = <K, x>, and never when lcm(|K|, ord x) passes the bound.
+    Each call builds the lattice up to min(order_bound, |g|) as bitmasks of
+    element positions (`_lattice`) and keeps nothing.  A cyclic-extension
+    search from <seed_gens> runs on the masks alone, so H's generators are
+    seed_gens + path; for each K it reads only the masks holding one element
+    of K.  The list is in the lattice's order.
     """
     els, pos = g.elements(), g._indexed().pos
     if not all(x in pos for x in seed_gens):
         raise ValueError("element outside the group")
     seed = tuple(pos[x] for x in seed_gens)
-    return [PermGroup(g.degree, [els[i] for i in gens], known_order=order,
-                      enum_budget=g.enum_budget)
-            for gens, order in _seeded_search(g, seed, order_bound)]
-
-
-def _seeded_search(g: PermGroup, seed: tuple, order_bound: int) -> list[tuple[tuple, int]]:
-    """(generator positions, order) of each subgroup `subgroups_containing` finds."""
-    bound = min(order_bound, len(g.elements()))
-    if g._lattice[0] < bound:
-        g._lattice = (bound, _lattice(g, bound))
     base = _closure_mask(g, seed, order_bound)
     if base is None:
         return []
-    kept = {m: ys for m, ys in g._lattice[1].items()
-            if len(ys) <= order_bound and not base & ~m}
+    lattice = _lattice(g, min(order_bound, len(els)))
+    kept = {m: ys for m, ys in lattice.items() if not base & ~m}
     holders = {}  # position y -> the kept masks that contain y, smallest first
     for m, ys in kept.items():
         for y in ys:
@@ -801,12 +786,16 @@ def _seeded_search(g: PermGroup, seed: tuple, order_bound: int) -> list[tuple[tu
             if m not in paths:
                 paths[m] = paths[k] + (x,)
                 queue.append(m)
-    return [(paths[m], len(ys)) for m, ys in kept.items()]
+    return [PermGroup(g.degree, [els[i] for i in paths[m]], known_order=len(ys),
+                      enum_budget=g.enum_budget)
+            for m, ys in kept.items()]
 
 
 def _lattice(g: PermGroup, bound: int) -> dict[int, list[int]]:
     """Every subgroup of g of order <= bound, as {mask: positions}, sorted by
-    (order, sorted element images).  Only class representatives are extended."""
+    (order, sorted element images).  It extends one subgroup per conjugacy
+    class and adds each new class whole (s<K, x>s^-1 = <sKs^-1, sxs^-1>), and
+    closes <K, x> once per coset Kx, never when lcm(|K|, ord x) > bound."""
     ix = g._indexed()
     els = ix.elements
     orders = [x.order() for x in els]
@@ -977,14 +966,16 @@ def quotient_group(g: PermGroup, normal_elements) -> Quotient:
 def enumerate_homs(
     f: PermGroup, g: PermGroup, injective_only: bool = False
 ) -> list[Hom]:
-    """All homomorphisms f -> g by exhaustive generator-image search.
+    """All homomorphisms f -> g by exhaustive generator-image search."""
+    return list(_hom_search(f, g, injective_only))
 
-    Candidates are pruned by element order (see `_order_pool`), which cannot
-    lose homs, so the listing is complete.
-    """
+
+def _hom_search(f: PermGroup, g: PermGroup, injective_only: bool = False):
+    """The homs `enumerate_homs` lists, lazily and in the same order.  Candidates
+    are pruned by element order (`_order_pool`), which loses no hom."""
     pools = [_order_pool(x, g, exact=injective_only) for x in f.gens]
-    return [hom for hom in _homs(f, g, itertools.product(*pools))
-            if not injective_only or hom.is_injective()]
+    return (hom for hom in _homs(f, g, itertools.product(*pools))
+            if not injective_only or hom.is_injective())
 
 
 # ---------------------------------------------------------------------------

@@ -6,7 +6,9 @@ more element, is there a subgroup H of Gamma containing F and a surjection
 H -> G extending psi?  `lift_hom` answers the universal version with the
 block-sum witness H = F (+) G; `omni_check` searches Gamma exhaustively up
 to a subgroup-order bound, so its "none" answers are proofs within the
-bound, not timeouts.
+bound, not timeouts.  It visits only the subgroups <F, y>, y in Gamma: a
+witness pi : H -> G with pi(y) = g restricts to one on <F, y>, since G is
+<psi(F), g>, so the least witness order is the least |<F, y>| carrying one.
 """
 
 from __future__ import annotations
@@ -17,6 +19,8 @@ from .groups import (
     Hom,
     Perm,
     PermGroup,
+    _closure_mask,
+    _hom_search,
     _homs,
     _onto,
     _order_pool,
@@ -27,7 +31,6 @@ from .groups import (
     enumerate_homs,
     small_groups_catalog,
     subgroups,
-    subgroups_containing,
     verify_hom_table,
 )
 
@@ -104,23 +107,33 @@ class OmniWitness:
     surj: Hom            # H -> target, surjective, extends psi
 
 
-def _first_witness(query: OmniQuery, containing) -> OmniWitness | None:
-    """The first H of `containing` with a surjection onto the target extending psi.
+def _extensions(gamma: PermGroup, f_gens, bound: int) -> list[PermGroup]:
+    """The distinct <F, y>, y in gamma, of order <= bound, sorted by (order, first y),
+    each one mask closure and each generated by F's generators and then y."""
+    ix = gamma._indexed()
+    seed = [ix.pos[x] for x in f_gens]
+    first = {}  # mask of <F, y> (None past the bound) -> the first y that generates it
+    for y in range(len(ix.elements)):
+        first.setdefault(_closure_mask(gamma, seed + [y], bound), y)
+    first.pop(None, None)
+    by_order = sorted(first.items(), key=lambda my: my[0].bit_count())  # stable: y ascending
+    return [PermGroup(gamma.degree, [*f_gens, ix.elements[y]], known_order=m.bit_count(),
+                      enum_budget=gamma.enum_budget) for m, y in by_order]
 
-    `containing` lists the subgroups H >= F in search order, each generated by
-    F's generators and then its search path.  |target| must divide |H|.  F's
-    generators go to psi's images, the rest range over order-divisibility
-    candidates, which loses no hom, and only candidates that generate the
-    target get a hom table.
+
+def _first_witness(query: OmniQuery, extensions) -> OmniWitness | None:
+    """The first H of `extensions` (`_extensions` of F) with a surjection onto
+    the target extending psi.  |target| must divide |H|.  F's generators go to
+    psi's images and y to each element whose order divides its own, which loses
+    no hom; only image tuples that generate the target get a hom table.
     """
     target = query.target
     fixed = [[query.psi(x)] for x in query.sub_f.gens]
     f_els = query.sub_f.elements()
-    for h in containing:
+    for h in extensions:
         if h.order() % target.order() != 0:
             continue
-        pools = fixed + [_order_pool(x, target) for x in h.gens[len(fixed):]]
-        for hom in _homs(h, target, _onto(target, pools)):
+        for hom in _homs(h, target, _onto(target, fixed + [_order_pool(h.gens[-1], target)])):
             if all(hom(x) == query.psi(x) for x in f_els):
                 if not verify_hom_table(hom):
                     raise AssertionError("witness failed the table check")
@@ -131,14 +144,12 @@ def _first_witness(query: OmniQuery, containing) -> OmniWitness | None:
 def omni_check(query: OmniQuery, search_bound: int) -> OmniWitness | None:
     """Exhaustive bounded witness search; None is a proof within the bound.
 
-    Subgroups H with F <= H <= gamma and |H| <= search_bound are visited in
-    deterministic (order, element-set) order.  gamma's subgroup lattice is
-    built once per group instance, so each call only filters it by F (see
-    `subgroups_containing`).
+    The subgroups <F, y>, y in gamma, of order <= search_bound are visited in
+    (order, first y) order (`_extensions`); every witness contains one of them
+    that is a witness too.  Nothing is kept between calls.
     """
     query.validate()
-    containing = subgroups_containing(query.gamma, query.sub_f.gens, search_bound)
-    return _first_witness(query, containing)
+    return _first_witness(query, _extensions(query.gamma, query.sub_f.gens, search_bound))
 
 
 # ---------------------------------------------------------------------------
@@ -229,16 +240,18 @@ def omni_audit(
     Aut(G), keeping only single-generator extensions (some g in G together
     with psi(F) generates G).  Each row records the `omni_check` verdict.
     The witness search runs only for R, the first F of each conjugacy class,
-    over one list of the subgroups containing R.  A conjugate F = s R s^-1
-    keeps its own psi representatives and fingerprints, and each of its rows
-    takes the verdict, witness order and flag of R's row in the Aut(G) orbit
-    of psi o c_s (c_s: y -> s y s^-1), since H -> s H s^-1 carries witnesses
-    to witnesses of the same order and the block is normal.
+    over R's extensions <R, y> (`_extensions`), listed once when R's class is
+    found.  A conjugate F = s R s^-1 keeps its own psi representatives and
+    fingerprints, and each of its rows takes the verdict, witness order and
+    flag of R's row in the Aut(G) orbit of psi o c_s (c_s: y -> s y s^-1),
+    since H -> s H s^-1 carries witnesses to witnesses of the same order and
+    the block is normal.
 
     `h_block` is the block injection H -> gamma of a tower stage, whose
     image is {e} x H: rows with F inside that block, G embeddable into H,
     and no witness are flagged, since the limit argument promises a witness
-    one stage up.
+    one stage up.  Whether G embeds into H is decided once per catalog
+    group, by the first injective hom.
     """
     if search_bound is None:
         search_bound = gamma.order()
@@ -251,20 +264,20 @@ def omni_audit(
         block = sum(1 << i for i in h_block.positions())
 
     rows = []
+    embeds = {}  # catalog index -> the first injective hom G -> H, or None
     classes = {}  # F mask -> (its class's verdicts, c_s on the elements of R)
     for f_sub in subgroups(gamma, max_f):
         f_pos = [gamma_pos[x] for x in f_sub.elements()]
         f_id = ",".join(str(gamma_pos[x]) for x in sorted(f_sub.elements()))
         mask = sum(1 << i for i in f_pos)
-        if mask not in classes:  # F is R, the first of its class
+        if mask not in classes:  # F is R, the first of its class and the only F that searches
             verdicts = {}  # (catalog index, canonical psi key) -> row verdict, or None if no row
             classes.update((m, (verdicts, zs)) for m, zs in _subgroup_class(gamma, f_pos).items())
+            extensions = _extensions(gamma, f_sub.gens, search_bound)
         verdicts, conj = classes[mask]
         f_index = {z: j for j, z in enumerate(f_pos)}
         f_in_block = block is not None and not mask & ~block
-        containing = None  # the subgroups H >= F, listed on F's first search
         for gi, (g_ref, auts) in enumerate(catalog):
-            embeds_in_block = None  # computed lazily per (F in block, no witness)
             for psi in _psi_orbit_representatives(f_sub, g_ref, auts):
                 images = psi.positions()
                 # psi o c_s, a psi of R, has its verdict; c_s is the identity on R itself
@@ -274,17 +287,13 @@ def omni_audit(
                     pools = [[psi(x)] for x in f_sub.gens] + [g_ref.elements()]
                     gen = next((ims[-1] for ims in _onto(g_ref, pools)), None)
                     if gen is not None:
-                        if containing is None:
-                            containing = subgroups_containing(gamma, f_sub.gens, search_bound)
                         query = OmniQuery(gamma, f_sub, g_ref, psi, gen).validate()
-                        witness = _first_witness(query, containing)
+                        witness = _first_witness(query, extensions)
                         flag = ""
                         if witness is None and f_in_block:
-                            if embeds_in_block is None:
-                                embeds_in_block = bool(
-                                    enumerate_homs(g_ref, h_block.domain, injective_only=True)
-                                )
-                            if embeds_in_block:
+                            if gi not in embeds:  # decided by the first injective hom
+                                embeds[gi] = next(_hom_search(g_ref, h_block.domain, True), None)
+                            if embeds[gi] is not None:
                                 flag = "h-lift-miss"
                         verdicts[key] = (witness.subgroup.order() if witness else None, flag)
                 verdict = verdicts[key]

@@ -403,6 +403,25 @@ def test_omni_dstage_report_with_flagged_rows_is_pinned(tmp_path, capsys):
     )
 
 
+@pytest.mark.parametrize("base, rows, unwitnessed, digest", [
+    (C2_GROUP, 161, 48, "f194c72fea18fb16be57e02f80352f34a791f35ea8d269f70eda7a7de6c47711"),
+    ("p group 3\ng: 1 0 2\ng: 1 2 0\n", 321, 64,
+     "ba149f45cff53fa30bf3f57426b3e9bd72c040d861edbaa5163199f581897214"),
+    ("p group 9\ng: 1 2 0 4 5 3 7 8 6\ng: 0 4 8 3 7 2 6 1 5\n", 81, 16,
+     "00c213d386170241722aef64c48e7d07524d5cc941d1e50ed17fd2c8aef58137"),
+    ("p group 4\ng: 1 0 2 3\ng: 1 2 3 0\n", 801, 99,
+     "fdbab67067fc243ab16a5452230924db04cb59a0a796b230153c9e30331fe5cc"),
+], ids=["C2", "S3", "Heisenberg", "S4"])
+def test_omni_dstage_whole_stage_report_is_pinned(tmp_path, capsys, base, rows, unwitnessed,
+                                                  digest):
+    # no --h-bound: every H of stage 0 is searched, so a "none" row holds for all of it
+    grp = write(tmp_path, "base.txt", base)
+    assert main(["omni", "--dstage", grp, "--bound", "2", "6"]) == 1
+    out = capsys.readouterr().out
+    assert f"\nrows: {rows}\nunwitnessed: {unwitnessed}\nflagged: 0\n" in out
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
 @pytest.mark.parametrize("command", ["mekler", "center", "recover", "reduce"])
 def test_non_prime_p_exits_2(tmp_path, capsys, command):
     src = write(tmp_path, "c5.txt", C5)

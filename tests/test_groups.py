@@ -61,6 +61,7 @@ from meklerkit.groups import (
     _generating_sequence,
     _greedy_generators,
     _iso_search,
+    _lattice,
     _onto,
     _orbit_columns,
     _subgroup_class,
@@ -523,7 +524,7 @@ def test_subgroups_containing_on_a_reused_group_matches_a_fresh_group():
     # the generators start with the seed, in the seed's order
     swapped = subgroups_containing(g, seed[::-1], 8)
     assert [h.gens[:2] for h in swapped] == [tuple(seed[::-1])] * len(swapped)
-    subgroups_containing(g, seed, 24)  # a larger bound rebuilds the lattice
+    subgroups_containing(g, seed, 24)  # a larger bound in between changes nothing
     for bound in (8, 24, 4):
         assert shape(subgroups_containing(g, seed, bound)) == shape(
             subgroups_containing(symmetric_group(4), seed, bound))
@@ -728,13 +729,13 @@ def test_seeded_search_adds_as_few_generators_as_the_search_depth():
             assert len(h.gens) - len(f.gens) == depth[frozenset(h.elements())]
 
 
-def test_subgroup_lattice_memo_is_per_instance():
+def test_subgroup_search_keeps_nothing_per_instance():
     def shape(groups):
         return [(h.gens, h.elements()) for h in groups]
 
     a, b = symmetric_group(4), symmetric_group(4)
     seed = [Perm((1, 0, 2, 3))]
-    # a's memo grows then is filtered; b's is built at full size first
+    # nothing is kept per instance: calls at rising and falling bounds agree
     for bound_a, bound_b in [(4, 24), (24, 6), (6, 4)]:
         subgroups(a, bound_a)
         subgroups(b, bound_b)
@@ -887,19 +888,16 @@ def test_class_lattice_matches_every_class_extension(base, bounds):
     # extending one subgroup per conjugacy class and adding each new class
     # whole finds the same masks in the same order on stage 0 = A (+) Alt(5)
     for bound in bounds:
-        g = _stage(base())
-        subgroups(g, bound)
-        assert g._lattice[0] == bound
-        assert list(g._lattice[1]) == _every_class_lattice(_stage(base()), bound)
-        assert all(sorted(ys) == _bits(m) for m, ys in g._lattice[1].items())
+        lattice = _lattice(_stage(base()), bound)
+        assert list(lattice) == _every_class_lattice(_stage(base()), bound)
+        assert all(sorted(ys) == _bits(m) for m, ys in lattice.items())
 
 
 def test_subgroup_class_maps_the_representative_by_conjugation():
     g = _stage(cyclic_group(2))
     els, pos = g.elements(), g._indexed().pos
     conj = [[pos[s * y * ~s] for y in els] for s in els]  # conj[s][y]: s y s^-1
-    subgroups(g, 12)
-    for rep in g._lattice[1].values():
+    for rep in _lattice(g, 12).values():
         members = _subgroup_class(g, rep)
         assert {frozenset(zs) for zs in members.values()} == {
             frozenset(c[y] for y in rep) for c in conj}

@@ -25,6 +25,7 @@ from meklerkit import (
     make_cayley_tower,
     omni_audit,
     omni_check,
+    parse_group,
     small_groups_catalog,
     subgroups,
     subgroups_containing,
@@ -32,7 +33,7 @@ from meklerkit import (
     trivial_group,
     verify_hom_table,
 )
-from meklerkit.groups import _greedy_generators, _onto
+from meklerkit.groups import _greedy_generators, _homs, _onto, _order_pool
 from meklerkit.omni import OmniAuditRow
 
 
@@ -268,25 +269,32 @@ def _recorded(monkeypatch, name):
 
 def test_default_reduce_audit_searches_one_f_per_class(monkeypatch):
     # 161 rows; the subgroups of order <= 2 of C2 (+) Alt(5) fall into 4 classes,
-    # and each class lists the subgroups containing its first F once
+    # and each class lists the extensions <F, y> of its first F once
     searches = _recorded(monkeypatch, "_first_witness")
-    listings = _recorded(monkeypatch, "subgroups_containing")
+    listings = _recorded(monkeypatch, "_extensions")
     block = make_cayley_tower(cyclic_group(2), alternating_group(5), 0).sums[0].inject_b
     rep = omni_audit(block.codomain, 2, 6, search_bound=12, h_block=block)
     assert len(rep.rows) == 161 and len(searches) == 21 and len(listings) == 4
-    assert len({id(containing) for _, containing in searches}) == 4
+    assert len({id(extensions) for _, extensions in searches}) == 4
 
 
 def _literal_witness(query, search_bound):
-    """The witness search written out: a hom table for every candidate image
-    tuple, then the onto test on the table and agreement with psi on F."""
-    target, f_gens = query.target, query.sub_f.gens
-    for h in subgroups_containing(query.gamma, f_gens, search_bound):
-        if h.order() % target.order():
+    """The <F, y> witness search written out: each <F, y> closed by
+    `closure_elements` and kept for its first y, taken by (order, first y),
+    then a hom table for every candidate image tuple, the onto test on the
+    table and agreement with psi on F."""
+    gamma, target, f_gens = query.gamma, query.target, list(query.sub_f.gens)
+    first = {}
+    for y in gamma.elements():
+        closed = closure_elements(f_gens + [y], gamma.degree, search_bound)
+        if closed is not None:
+            first.setdefault(frozenset(closed), y)
+    for members, y in sorted(first.items(), key=lambda my: len(my[0])):
+        if len(members) % target.order():
             continue
+        h = PermGroup(gamma.degree, f_gens + [y])
         pools = [[query.psi(x)] for x in f_gens] + [
-            [y for y in target.elements() if x.order() % y.order() == 0]
-            for x in h.gens[len(f_gens):]]
+            [z for z in target.elements() if y.order() % z.order() == 0]]
         for images in itertools.product(*pools):
             try:
                 hom = Hom(h, target, images).verify()
@@ -315,6 +323,53 @@ def test_witness_search_matches_the_literal_search(monkeypatch, base):
             assert got.surj.gen_images == want[1].gen_images
             witnessed += 1
     assert 0 < witnessed < len(queries)
+
+
+def _lattice_witness_order(query, containing):
+    """The least |H| of a witness among `containing`, the subgroups H >= F in
+    lattice order: the search over the whole lattice above F, with F's
+    generators sent to psi's images and the others to order-divisors."""
+    target, f_gens = query.target, query.sub_f.gens
+    for h in containing:
+        if h.order() % target.order():
+            continue
+        pools = [[query.psi(x)] for x in f_gens] + [
+            _order_pool(x, target) for x in h.gens[len(f_gens):]]
+        for hom in _homs(h, target, _onto(target, pools)):
+            if all(hom(x) == query.psi(x) for x in query.sub_f.elements()):
+                return h.order()
+    return None
+
+
+@pytest.mark.parametrize("base, bounds", [
+    (cyclic_group(2), [4, 12, 120]),
+    (symmetric_group(3), [4, 12, 360]),
+    (parse_group("p group 9\ng: 1 2 0 4 5 3 7 8 6\ng: 0 4 8 3 7 2 6 1 5\n"), [4, 12]),
+    (symmetric_group(4), [4, 12]),
+], ids=["C2", "S3", "Heisenberg", "S4"])
+def test_extension_witness_orders_match_the_lattice_search(monkeypatch, base, bounds):
+    # a witness pi : H -> G with pi(y) = g restricts to one on <F, y>, so on
+    # every row the audit searches the least |<F, y>| carrying a witness is
+    # the least |H| over all H >= F; the last C2 and S3 bound is the whole stage
+    stage = build_D(make_cayley_tower(base, alternating_group(5), 0)).stages[0]
+    full = meklerkit.groups._lattice(stage, max(bounds))  # the stage's one lattice build
+    monkeypatch.setattr(meklerkit.groups, "_lattice", lambda g, bound: {
+        m: ys for m, ys in full.items() if len(ys) <= bound})
+    searches = []
+    real = meklerkit.omni._first_witness
+    monkeypatch.setattr(meklerkit.omni, "_first_witness",
+                        lambda *a: searches.append((a[0], real(*a))) or searches[-1][1])
+    for bound in bounds:
+        searches.clear()
+        omni_audit(stage, 2, 6, search_bound=bound)
+        containing = {}  # F -> the subgroups containing it, listed once
+        for query, witness in searches:
+            f_sub = query.sub_f
+            if f_sub not in containing:
+                containing[f_sub] = subgroups_containing(stage, f_sub.gens, bound)
+            want = _lattice_witness_order(query, containing[f_sub])
+            assert (witness and witness.subgroup.order()) == want, (bound, query)
+        assert searches and any(w for _, w in searches) and not all(w for _, w in searches)
 
 
 def _literal_extending_generator(g, image):
