@@ -309,6 +309,12 @@ def audit_extension_property(g: Graph, m: int, universe=None) -> ExtensionAudit:
     `universe` restricts where A and B are drawn from (default: all of V);
     witnesses may be any vertex of g.  Failures are reported, never assumed:
     an empty failure list is the only notion of success.
+
+    Every B of size <= m is built once, as a node (B, the vertices outside B
+    and its neighbours, its one-vertex extensions (y, B + (y,))).  Each A
+    walks that tree one size at a time, skipping any y in A, so a level holds
+    exactly the B's disjoint from A in (size, lexicographic) order, and every
+    failure shares its B tuple with the tree.
     """
     if m < 0:
         raise ValueError(f"size bound must be >= 0, got {m}")
@@ -320,17 +326,23 @@ def audit_extension_property(g: Graph, m: int, universe=None) -> ExtensionAudit:
             if not (0 <= v < g.n):
                 raise ValueError(f"vertex {v} out of range")
     nbr = _neighbour_masks(g, universe)
+    top = min(m, len(universe))
+    nodes = {(): ((), (1 << g.n) - 1, [])}
+    for bsize in range(1, top + 1):
+        for b in itertools.combinations(universe, bsize):
+            _, out, kids = nodes[b[:-1]]
+            nodes[b] = node = (b, _witnesses(out, nbr, (), b[-1:]), [])
+            kids.append((b[-1], node))
     failures = []
     pair_count = 0
-    for asize in range(min(m, len(universe)) + 1):
+    for asize in range(top + 1):
         for a in itertools.combinations(universe, asize):
             common = _witnesses((1 << g.n) - 1, nbr, a, ())  # once per A
-            rest = [v for v in universe if v not in a]
-            for bsize in range(min(m, len(rest)) + 1):
-                for b in itertools.combinations(rest, bsize):
-                    pair_count += 1
-                    if not _witnesses(common, nbr, (), b):
-                        failures.append((a, b))
+            level = [nodes[()]]
+            while level:
+                pair_count += len(level)
+                failures += [(a, b) for b, out, _ in level if not common & out]
+                level = [node for _, _, kids in level for y, node in kids if y not in a]
     return ExtensionAudit(m, universe, pair_count, tuple(failures))
 
 

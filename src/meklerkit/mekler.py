@@ -242,10 +242,18 @@ class PcGroup:
     # -- vectorized coordinate rules ------------------------------------------
 
     def _narrow(self, *arrays):
-        """The arrays in the working dtype; ValueError unless all lie in [0, p)."""
+        """The arrays in the working dtype; ValueError unless all are integer in [0, p).
+
+        One pass per array: the max of its unsigned view, where a negative
+        entry reads as huge.  Empty arrays pass whatever their dtype.
+        """
         arrays = [np.asarray(x) for x in arrays]
-        if any(x.size and (x.min() < 0 or x.max() >= self.p) for x in arrays):
-            raise ValueError(f"array coordinates must lie in [0, {self.p})")
+        for x in arrays:
+            if x.size and not (
+                x.dtype.kind in "iu"
+                and x.view(x.dtype.str.replace("i", "u")).max() < self.p
+            ):
+                raise ValueError(f"array coordinates must be integers in [0, {self.p})")
         return [x.astype(self._dtype, copy=False) for x in arrays]
 
     def _reduced(self, x):
@@ -256,7 +264,7 @@ class PcGroup:
     def multiply_arrays(self, a1, b1, a2, b2):
         """Stacked products (a + a', b + b' - a_y a'_x) mod p, as int64.
 
-        Coordinates must lie in [0, p), else ValueError; leading axes
+        Coordinates must be integers in [0, p), else ValueError; leading axes
         broadcast.  The work runs in the narrowest signed dtype whose max
         holds p^2 (int8 for p <= 11, int16 to 181, int32 to 46337, else
         int64), which is exact as every intermediate lies in (-p^2, p^2).

@@ -225,7 +225,8 @@ def audit_cases(draw):
     edges = draw(st.lists(st.sampled_from(pairs))) if pairs else []
     g = Graph.from_edges(n, edges)
     universe = draw((st.none() | st.lists(st.integers(0, n - 1))) if n else st.none())
-    return g, draw(st.integers(0, 3)), universe
+    # m reaches n + 1, past every universe, as in `reduce`'s m = n audit
+    return g, draw(st.integers(0, n + 1)), universe
 
 
 @settings(deadline=None)
@@ -246,6 +247,18 @@ def test_extension_audit_full_size_extend_c5():
     audit = audit_extension_property(extend(cycle_graph(5)), m=2)
     assert audit.pair_count == 445_629
     assert len(audit.failures) == 306_178
+    # every failure shares its B tuple with the one tree of B sets: C(37, <= 2)
+    assert len({id(b) for _, b in audit.failures}) <= 1 + 37 + 666
+
+
+def test_extension_audit_empty_graph_at_full_size():
+    # `reduce --depth-k 0` on 12 isolated vertices: 3^12 pairs, and only the
+    # 2^12 - 1 pairs with A empty and B short of all 12 vertices have a witness
+    audit = audit_extension_property(Graph.from_edges(12, []), m=12)
+    assert audit.pair_count == 3**12 == 531_441
+    assert len(audit.failures) == 3**12 - (2**12 - 1) == 527_346
+    assert audit.failures[0] == ((), tuple(range(12)))
+    assert audit.failures[-1] == (tuple(range(12)), ())
 
 
 @pytest.mark.parametrize("m", [0, 1, 2])

@@ -339,6 +339,50 @@ def test_array_rules_refuse_unreduced_coordinates(bad):
             pc.multiply_arrays(*args)
 
 
+INT_DTYPES = [np.int8, np.int16, np.int32, np.int64,
+              np.uint8, np.uint16, np.uint32, np.uint64]
+
+
+@pytest.mark.parametrize("dtype", INT_DTYPES, ids=lambda d: np.dtype(d).name)
+def test_array_rules_take_every_integer_dtype(dtype):
+    pc = build_mekler(cycle_graph(5), 3)
+    a1, b1 = edge_rows(pc, np.random.default_rng(5))
+    a2, b2 = a1[::-1], b1[::-1]
+    want = pc.multiply_arrays(a1, b1, a2, b2)
+    got = pc.multiply_arrays(a1.astype(dtype), b1.astype(dtype), a2, b2.astype(dtype))
+    for w, g in zip(want, got):
+        assert g.dtype == np.int64 and np.array_equal(w, g)
+    info = np.iinfo(dtype)
+    # -1 is no unsigned value, and an unsigned dtype's min is 0, in range
+    for bad in {-1, pc.p, info.min, info.max} - {0}:
+        if info.min <= bad:
+            wa, wb = a1.astype(dtype), b1.astype(dtype)
+            wa[3, 1] = wb[2, 0] = bad
+            with pytest.raises(ValueError):
+                pc.multiply_arrays(wa, b1, a2, b2)
+            with pytest.raises(ValueError):
+                pc.multiply_arrays(a1, b1, a2, wb)
+
+
+@pytest.mark.parametrize("bad", [1.5, np.nan, True], ids=["float", "nan", "bool"])
+def test_array_rules_refuse_non_integer_arrays(bad):
+    pc = build_mekler(cycle_graph(5), 3)
+    a = np.zeros((2, pc.n), dtype=np.int64)
+    b = np.zeros((2, pc.num_pairs), dtype=np.int64)
+    wa = np.full(a.shape, bad)
+    assert wa.dtype.kind in "fb"
+    with np.errstate(all="raise"), pytest.raises(ValueError, match="integers"):
+        pc.multiply_arrays(wa, b, a, b)
+
+
+def test_array_rules_accept_empty_float_arrays():
+    pc = build_mekler(cycle_graph(5), 3)
+    assert np.asarray(()).dtype == np.float64
+    a, b = np.zeros((0, pc.n)), np.zeros((0, pc.num_pairs))
+    pa, pb = pc.multiply_arrays(a, b, a, b)
+    assert pa.dtype == pb.dtype == np.int64 and pa.size == pb.size == 0
+
+
 def test_multiplication_table_properties():
     pc = build_mekler(path_graph(3), 3)
     total = pc.order()
