@@ -877,11 +877,13 @@ def _iso_search(g: PermGroup, h: PermGroup):
     size_g = {x: len(c) for c in conjugacy_classes(g) for x in c}
     pools = [[y for y in _order_pool(x, h, exact=True) if size_h[y] == size_g[x]]
              for x in seq]
-    domain = PermGroup(g.degree, seq, known_order=g.order(), enum_budget=g.enum_budget)
+    # the search runs on g itself when seq is g's generator list (every catalog group)
+    domain = g if seq == list(g.gens) else PermGroup(
+        g.degree, seq, known_order=g.order(), enum_budget=g.enum_budget)
     # |g| = |h| here, so a map onto h is bijective; it is handed back on g itself,
     # whose generators and element order can differ from the search domain's
     for hom in _homs(domain, h, _onto(h, pools)):
-        iso = Hom(g, h, [hom(x) for x in g.gens])
+        iso = hom if domain is g else Hom(g, h, [hom(x) for x in g.gens])
         if verify_hom_table(iso):
             yield iso
 

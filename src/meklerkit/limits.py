@@ -97,6 +97,8 @@ class DirectSystem:
 
 @dataclass
 class DTower:
+    """Blocks H_i, sums A (+) H_i and injections f_i, each proved but not kept."""
+
     base: PermGroup            # A
     h_stages: list[PermGroup]  # H_0 .. H_d
     sums: list[DirectSum]      # A (+) H_i for i = 0 .. d
@@ -113,7 +115,8 @@ class DTower:
                 raise ValueError(f"f_{i} domain is not A(+)H_{i}")
             if f.codomain is not self.h_stages[i + 1]:
                 raise ValueError(f"f_{i} codomain is not H_{i + 1}")
-            if not f.verify().is_injective():
+            # prove f_i on a copy, so its stage-sized table is freed once proved
+            if not Hom(f.domain, f.codomain, f.gen_images).verify().is_injective():
                 raise ValueError(f"f_{i} is not injective")
 
     @property
@@ -150,7 +153,8 @@ def make_cayley_tower(
     Each step needs the full element list of A (+) H_i, and its ground set
     |A (+) H_i| + 2 must fit the point budget.  Beyond depth 1 the stage
     orders are factorial in the previous ground set, so the budgets fail
-    loudly rather than pretending to represent those groups.
+    loudly rather than pretending to represent those groups.  DTower proves
+    each f_i, but keeps no table: `build_D` reads only generator images.
     """
     if depth < 0:
         raise ValueError("depth must be >= 0")
@@ -166,7 +170,7 @@ def make_cayley_tower(
                 f"stage {i + 1} would act on {order} + 2 points, "
                 f"budget is {point_budget}"
             )
-        f = cayley_embedding_even(cur_sum.group)  # DTower proves its table
+        f = cayley_embedding_even(cur_sum.group)  # DTower proves it on a copy
         f_maps.append(f)
         h_stages.append(f.codomain)
     sums.append(direct_sum(base, h_stages[depth]))

@@ -1036,6 +1036,19 @@ def test_automorphisms_of_a_redundantly_generated_group_are_its_position_maps():
                    for i, x in enumerate(els) for j, y in enumerate(els))
 
 
+def test_automorphisms_build_one_table_per_automorphism(monkeypatch):
+    # S3's greedy generating sequence is its generator list, so the search runs
+    # on S3 itself and hands back the hom it proved: 6 tables for 6 automorphisms
+    g = symmetric_group(3)
+    assert _generating_sequence(g) == list(g.gens)
+    built = []
+    real = Hom._build_table
+    monkeypatch.setattr(Hom, "_build_table", lambda h: built.append(h) or real(h))
+    auts = automorphisms(g)
+    assert auts.order() == 6 and len(built) == 6
+    assert all(h.domain is g for h in built)
+
+
 def test_automorphism_group_has_greedy_generators_and_every_automorphism():
     for g in small_groups_catalog(11):
         pos = g._indexed().pos

@@ -10,6 +10,7 @@ with a nontrivial block coordinate absorb the whole block.
 from __future__ import annotations
 
 import random
+import tracemalloc
 
 import pytest
 
@@ -20,6 +21,7 @@ from meklerkit import (
     EnumerationBudgetError,
     Hom,
     Perm,
+    PermGroup,
     PointBudgetError,
     alternating_group,
     build_D,
@@ -240,3 +242,36 @@ def test_dtower_validation():
     sum0 = direct_sum(c2, a5)
     with pytest.raises(ValueError):
         DTower(c2, [a5, a5], [sum0], [])  # counts inconsistent
+
+
+@pytest.mark.parametrize("image, message", [
+    # C2's generator has order 2, and a 3-cycle image has order 3
+    ("three-cycle", "do not define a homomorphism"),
+    ("identity", "f_0 is not injective"),
+])
+def test_dtower_proves_f0(image, message):
+    tower = make_cayley_tower(cyclic_group(2), alternating_group(5), 1)
+    f = tower.f_maps[0]
+    bad = (Perm((1, 2, 0) + tuple(range(3, f.codomain.degree))) if image == "three-cycle"
+           else f.codomain.identity())
+    with pytest.raises(ValueError, match=message):
+        DTower(tower.base, tower.h_stages, tower.sums,
+               [Hom(f.domain, f.codomain, [bad] * len(f.gen_images))])
+
+
+def test_tower_keeps_one_stage_sized_table():
+    # f_0 is proved on a copy and not kept, so phi_0's table is the only one
+    # of stage size that the build leaves behind, and the peak holds little more
+    s4xc2 = PermGroup(6, [Perm((1, 2, 3, 0, 4, 5)), Perm((1, 0, 2, 3, 4, 5)),
+                          Perm((0, 1, 2, 3, 5, 4))])
+    tracemalloc.start()
+    try:
+        tower = make_cayley_tower(s4xc2, alternating_group(5), 1)
+        sys_d = build_D(tower)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert tower.f_maps[0]._mapping is None
+    table = sys_d.maps[0].mapping
+    assert table.shape == (2880, 2888)
+    assert peak < 1.5 * table.nbytes
