@@ -333,17 +333,21 @@ def audit_extension_property(g: Graph, m: int, universe=None) -> ExtensionAudit:
             _, out, kids = nodes[b[:-1]]
             nodes[b] = node = (b, _witnesses(out, nbr, (), b[-1:]), [])
             kids.append((b[-1], node))
-    failures = []
     pair_count = 0
-    for asize in range(top + 1):
-        for a in itertools.combinations(universe, asize):
-            common = _witnesses((1 << g.n) - 1, nbr, a, ())  # once per A
-            level = [nodes[()]]
-            while level:
-                pair_count += len(level)
-                failures += [(a, b) for b, out, _ in level if not common & out]
-                level = [node for _, _, kids in level for y, node in kids if y not in a]
-    return ExtensionAudit(m, universe, pair_count, tuple(failures))
+
+    def walk():  # each level's failures, chained into one tuple with no list beside it
+        nonlocal pair_count
+        for asize in range(top + 1):
+            for a in itertools.combinations(universe, asize):
+                common = _witnesses((1 << g.n) - 1, nbr, a, ())  # once per A
+                level = [nodes[()]]
+                while level:
+                    pair_count += len(level)
+                    yield [(a, b) for b, out, _ in level if not common & out]
+                    level = [node for _, _, kids in level for y, node in kids if y not in a]
+
+    failures = tuple(itertools.chain.from_iterable(walk()))
+    return ExtensionAudit(m, universe, pair_count, failures)
 
 
 # ---------------------------------------------------------------------------

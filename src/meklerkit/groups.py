@@ -393,26 +393,15 @@ def quaternion_group() -> PermGroup:
     return PermGroup(8, gens, name="Q8", known_order=8)
 
 
-def direct_sum_gens(a: PermGroup, b: PermGroup):
-    da, db = a.degree, b.degree
-    left = [Perm._make(g.images + tuple(range(da, da + db))) for g in a.gens]
-    right = [
-        Perm._make(tuple(range(da)) + tuple(x + da for x in g.images)) for g in b.gens
-    ]
-    return left, right
-
-
 @dataclass
 class DirectSum:
     group: PermGroup
     inject_a: "Hom"
     inject_b: "Hom"
-    project_a: "Hom"
-    project_b: "Hom"
 
 
 def direct_sum(a: PermGroup, b: PermGroup) -> DirectSum:
-    """Block direct sum with injections and projections as homs.
+    """Block direct sum with its two block injections as homs.
 
     The maps are verified on use (building a hom's element table is itself
     the complete verification); for factors past the element budget they
@@ -420,8 +409,8 @@ def direct_sum(a: PermGroup, b: PermGroup) -> DirectSum:
     The sum's element budget is the smaller of the factors' budgets.
     """
     da, db = a.degree, b.degree
-    left, right = direct_sum_gens(a, b)
-    known = None
+    left = [Perm._make(g.images + tuple(range(da, da + db))) for g in a.gens]
+    right = [Perm._make(tuple(range(da)) + tuple(x + da for x in g.images)) for g in b.gens]
     try:
         known = a.order() * b.order()
     except EnumerationBudgetError:
@@ -442,9 +431,7 @@ def direct_sum(a: PermGroup, b: PermGroup) -> DirectSum:
                       contains_hook=block_hook, enum_budget=budget)
     ia = Hom(a, group, left, name="inject_a")
     ib = Hom(b, group, right, name="inject_b")
-    pa = Hom(group, a, list(a.gens) + [a.identity()] * len(right), name="project_a")
-    pb = Hom(group, b, [b.identity()] * len(left) + list(b.gens), name="project_b")
-    return DirectSum(group, ia, ib, pa, pb)
+    return DirectSum(group, ia, ib)
 
 
 # ---------------------------------------------------------------------------
@@ -664,8 +651,10 @@ def conjugacy_classes(g: PermGroup) -> list[tuple[Perm, ...]]:
 
 
 def center_elements(g: PermGroup) -> tuple[Perm, ...]:
-    els = g.elements()
-    return tuple(x for x in els if all(x * s == s * x for s in g.gens))
+    """Z(g) in position order: x is central when x s (the walk's step) equals s x (s's row)."""
+    ix = g._indexed()
+    steps = [(r, ix.row(r[0])) for r in ix.right]
+    return tuple(x for i, x in enumerate(ix.elements) if all(r[i] == row[i] for r, row in steps))
 
 
 def derived_subgroup_elements(g: PermGroup) -> tuple[Perm, ...]:
@@ -935,30 +924,38 @@ def cayley_embedding_even(g: PermGroup) -> Hom:
 
 @dataclass(frozen=True)
 class Quotient:
-    group: PermGroup             # left regular action on the coset list
-    cosets: tuple                # tuple of frozensets, deterministic order
-    projection: dict             # element -> coset index
+    group: PermGroup  # left regular action on the cosets, numbered by first position
+    coset_of: list    # coset_of[i]: the coset of g.elements()[i]
 
 
 def quotient_group(g: PermGroup, normal_elements) -> Quotient:
-    """Quotient by a normal subgroup, as the regular action on cosets."""
+    """Quotient by a normal subgroup N, as the regular action on its cosets.
+
+    The cosets are walked along g's tree: for its step x = a s, xN = (aN)s as
+    N is normal.  g's generators act through their rows; one that acts
+    trivially or repeats an earlier one is left out."""
     nset = frozenset(normal_elements)
-    pos = g._indexed().pos
-    if not all(x in pos for x in nset):
+    ix = g._indexed()
+    if not all(x in ix.pos for x in nset):
         raise ValueError("subgroup is not inside the group")
+    npos = sorted(ix.pos[x] for x in nset)
     # a normal subgroup is exactly a set that equals its own normal closure
-    if _normal_closure_mask(g, nset)[1] != sum(1 << pos[x] for x in nset):
+    if _normal_closure_mask(g, nset)[1] != sum(1 << i for i in npos):
         raise ValueError("not a normal subgroup")
-    assigned = {}
-    cosets = []
-    for x in g.elements():
-        if x not in assigned:
-            cosets.append(frozenset(x * k for k in nset))
-            assigned.update(dict.fromkeys(cosets[-1], len(cosets) - 1))
-    reps = [min(c) for c in cosets]
-    gens = [Perm(tuple(assigned[s * r] for r in reps)) for s in g.gens]
-    grp = PermGroup(len(cosets), gens, known_order=len(cosets))
-    return Quotient(grp, tuple(cosets), assigned)
+    coset_of, cosets = [-1] * len(ix.elements), [npos]  # N is coset 0
+    for y in npos:
+        coset_of[y] = 0
+    for a, x, k in ix.tree:  # ascending x, so each coset opens at its first position
+        if coset_of[x] < 0:
+            cosets.append([ix.right[k][y] for y in cosets[coset_of[a]]])
+            for y in cosets[-1]:
+                coset_of[y] = len(cosets) - 1
+    gens = []
+    for row, _ in ix.conjugators():  # s sends coset j to the coset of s c, any c in it
+        s = Perm._make(tuple(coset_of[row[c[0]]] for c in cosets))
+        if not s.is_identity() and s not in gens:
+            gens.append(s)
+    return Quotient(PermGroup(len(cosets), gens, known_order=len(cosets)), coset_of)
 
 
 # ---------------------------------------------------------------------------

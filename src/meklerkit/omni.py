@@ -53,13 +53,12 @@ def lift_hom(f_group: PermGroup, g_group: PermGroup, psi: Hom) -> LiftWitness:
         raise ValueError("psi must map the given F into the given G")
     psi.verify()
     ds = direct_sum(f_group, g_group)
-    embed_images = [
-        ds.inject_a(x) * ds.inject_b(psi(x)) for x in f_group.gens
-    ]
+    embed_images = [ds.inject_a(x) * ds.inject_b(psi(x)) for x in f_group.gens]
     embed = Hom(f_group, ds.group, embed_images, name="graph_embed")
     if not embed.verify().is_injective():
         raise AssertionError("lift embedding failed to be injective")
-    surj = ds.project_b
+    surj = Hom(ds.group, g_group, [g_group.identity()] * len(f_group.gens) + list(g_group.gens),
+               name="project_b")
     if not surj.verify().is_surjective():
         raise AssertionError("lift projection failed to be surjective")
     for x in f_group.elements():

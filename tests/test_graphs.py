@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import itertools
 import random
+import tracemalloc
 
 import networkx as nx
 import pytest
@@ -259,6 +260,19 @@ def test_extension_audit_empty_graph_at_full_size():
     assert len(audit.failures) == 3**12 - (2**12 - 1) == 527_346
     assert audit.failures[0] == ((), tuple(range(12)))
     assert audit.failures[-1] == (tuple(range(12)), ())
+
+
+def test_extension_audit_peak_stays_near_what_it_holds():
+    # the failures are chained into their tuple, with no list beside it, so
+    # the audit peaks at little more than the result it hands back
+    tracemalloc.start()
+    try:
+        audit = audit_extension_property(Graph.from_edges(12, []), m=12)
+        held, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(audit.failures) == 527_346
+    assert peak < 1.05 * held
 
 
 @pytest.mark.parametrize("m", [0, 1, 2])

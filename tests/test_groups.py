@@ -41,7 +41,9 @@ from meklerkit import (
     format_group,
     is_simple,
     iso_invariant_mismatch,
+    kernel_at_stage,
     klein_four_group,
+    lift_hom,
     make_cayley_tower,
     normal_closure,
     parse_group,
@@ -55,6 +57,7 @@ from meklerkit import (
     verify_hom_table,
 )
 from meklerkit.groups import (
+    CATALOG_MAX_ORDER,
     _PAIR_TABLE_LIMIT,
     _bits,
     _closure_mask,
@@ -252,8 +255,7 @@ def test_direct_sum_structure():
         for y in s3.elements():
             u, v = ds.inject_a(x), ds.inject_b(y)
             assert u * v == v * u
-            assert ds.project_a(u * v) == x
-            assert ds.project_b(u * v) == y
+            assert (u * v).images[:2] == x.images
     # the membership hook rejects block-mixing permutations
     swap = Perm((3, 1, 2, 0, 4))
     assert swap not in ds.group
@@ -429,9 +431,16 @@ def test_tower_hom_proofs_read_one_point_per_orbit():
 
 
 def test_direct_sum_hom_tables_match_reference():
-    ds = direct_sum(cyclic_group(2), symmetric_group(3))
-    for hom in (ds.inject_a, ds.inject_b, ds.project_a, ds.project_b):
+    c2, s3 = cyclic_group(2), symmetric_group(3)
+    ds = direct_sum(c2, s3)
+    for hom in (ds.inject_a, ds.inject_b):
         assert_table_matches_reference(hom)
+    # the second projection of the same block sum, as lift_hom builds it
+    surj = lift_hom(c2, s3, Hom(c2, s3, [Perm((1, 0, 2))])).surj
+    assert_table_matches_reference(surj)
+    for x in c2.elements():
+        for y in s3.elements():
+            assert surj(ds.inject_a(x) * ds.inject_b(y)) == y
 
 
 def test_enumerated_hom_tables_match_reference():
@@ -551,11 +560,15 @@ def test_conjugacy_classes_and_center():
     assert len(center_elements(dihedral_group(4))) == 2
     assert len(center_elements(quaternion_group())) == 2
     assert len(center_elements(cyclic_group(7))) == 7
-    # literal centralizer oracle
-    g = dihedral_group(4)
+
+
+@pytest.mark.parametrize("g", small_groups_catalog(CATALOG_MAX_ORDER) + [
+    build_D(make_cayley_tower(symmetric_group(4), alternating_group(5), 0)).stages[0]],
+    ids=lambda g: g.label())
+def test_center_matches_the_literal_definition(g):
     els = g.elements()
-    literal = [x for x in els if all(x * y == y * x for y in els)]
-    assert set(literal) == set(center_elements(g))
+    literal = tuple(x for x in els if all(x * y == y * x for y in els))
+    assert center_elements(g) == literal
 
 
 def test_derived_subgroups():
@@ -1139,17 +1152,75 @@ def test_quotient_projection_is_hom():
     s3 = symmetric_group(3)
     a3 = frozenset(p for p in s3.elements() if p.is_even())
     q = quotient_group(s3, a3)
-    reps = [min(c) for c in q.cosets]
+    projection = dict(zip(s3.elements(), q.coset_of))
+    reps = [s3.elements()[q.coset_of.index(j)] for j in range(q.group.degree)]
 
     def action(x):
-        return Perm(tuple(q.projection[x * r] for r in reps))
+        return Perm(tuple(projection[x * r] for r in reps))
 
     for x in s3.elements():
         assert action(x) in q.group
         for y in s3.elements():
             assert action(x * y) == action(x) * action(y)
             # cosets multiply independently of representatives
-            assert q.projection[x * y] == q.projection[reps[q.projection[x]] * y]
+            assert projection[x * y] == projection[reps[projection[x]] * y]
+
+
+def _perm_quotient(g, normal):
+    """The old Perm-level coset walk: the cosets xN in first-element order, the
+    Perm -> coset map, and each generator's action through least representatives."""
+    nset = frozenset(normal)
+    assigned, cosets = {}, []
+    for x in g.elements():
+        if x not in assigned:
+            cosets.append(frozenset(x * k for k in nset))
+            assigned.update(dict.fromkeys(cosets[-1], len(cosets) - 1))
+    reps = [min(c) for c in cosets]
+    gens = [Perm(tuple(assigned[s * r] for r in reps)) for s in g.gens]
+    return cosets, assigned, gens
+
+
+def _stage0_and_kernel(base):
+    sys = build_D(make_cayley_tower(base, alternating_group(5), 0))
+    return sys.stages[0], kernel_at_stage(sys, 0)
+
+
+def _quotient_cases():
+    s4, s3, q8 = symmetric_group(4), symmetric_group(3), quaternion_group()
+    s4_redundant = PermGroup(4, [Perm((1, 0, 2, 3)), Perm((1, 2, 3, 0)), Perm((1, 0, 2, 3)),
+                                 Perm((0, 1, 2, 3)), Perm((2, 3, 0, 1))])
+    s4xc2 = PermGroup(6, [Perm((1, 2, 3, 0, 4, 5)), Perm((1, 0, 2, 3, 4, 5)),
+                          Perm((0, 1, 2, 3, 5, 4))])
+    return [
+        pytest.param(s4, [x for x in s4.elements() if x.order() <= 2 and x.is_even()],
+                     id="S4/V4"),
+        pytest.param(s3, [x for x in s3.elements() if x.is_even()], id="S3/A3"),
+        pytest.param(q8, center_elements(q8), id="Q8/Z"),
+        pytest.param(s4, s4.elements(), id="S4/S4"),
+        pytest.param(s4, [s4.identity()], id="S4/1"),
+    ] + [pytest.param(*_stage0_and_kernel(base), id=f"stage 0 over {name}")
+         for name, base in [("C2", cyclic_group(2)), ("S3", s3), ("S4xC2", s4xc2),
+                            ("redundant S4", s4_redundant)]]
+
+
+@pytest.mark.parametrize("g, normal", _quotient_cases())
+def test_quotient_matches_the_perm_coset_walk(g, normal):
+    cosets, projection, gens = _perm_quotient(g, normal)
+    q = quotient_group(g, normal)
+    els = g.elements()
+    assert q.coset_of == [projection[x] for x in els]
+    assert [frozenset(x for x, j in zip(els, q.coset_of) if j == c)
+            for c in range(len(cosets))] == cosets
+    # the generators act as before, less each one that is trivial or repeats
+    kept = []
+    for s in gens:
+        if not s.is_identity() and s not in kept:
+            kept.append(s)
+    assert list(q.group.gens) == kept
+    assert q.group.order() == len(cosets)
+    # neither trivial nor repeated generators reach a new element, so the
+    # quotient lists its elements in the same order as the old one
+    assert q.group.elements() == PermGroup(len(cosets), gens).elements()
 
 
 def test_enumerate_homs_counts():

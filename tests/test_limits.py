@@ -168,6 +168,22 @@ def test_quotient_is_A_checks_its_iso_once(monkeypatch, base):
     assert len(calls) == 1 and calls[0] is q.iso
 
 
+def test_quotient_is_A_builds_one_table_per_isomorphism(monkeypatch):
+    # the quotient keeps only the A block's generators, so brute_iso searches on
+    # it directly and proves one table, not one on a copy and one on the quotient
+    s4xc2 = PermGroup(6, [Perm((1, 2, 3, 0, 4, 5)), Perm((1, 0, 2, 3, 4, 5)),
+                          Perm((0, 1, 2, 3, 5, 4))])
+    sys = build_D(make_cayley_tower(s4xc2, alternating_group(5), 0))
+    kernel_at_stage(sys, 0)  # builds the H block's injection table first
+    builds = []
+    real = meklerkit.groups.Hom._build_table
+    monkeypatch.setattr(meklerkit.groups.Hom, "_build_table",
+                        lambda h: builds.append(h) or real(h))
+    q = quotient_is_A(sys, 0)
+    assert q.verified and q.quotient.order() == 48
+    assert builds == [q.iso]
+
+
 def test_tower_laws_c2():
     tower, sys = tower_laws(cyclic_group(2))
     # elements supported on the base only are inconclusive at the boundary
