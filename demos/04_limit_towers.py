@@ -27,26 +27,26 @@ print("stage 0 order:", sys_d.stages[0].order())
 # the first-coordinate projection ignores the alternating block and
 # commutes with the connecting map
 x = sys_d.element(0, sys_d.stages[0].gens[0])
-print("pi(x):", project_pi(sys_d, x))
-print("pi(pushed x):", project_pi(sys_d, sys_d.push(x, 1)))
+print("pi(x):", project_pi(tower, x))
+print("pi(pushed x):", project_pi(tower, sys_d.push(x, 1)))
 
-# the kernel of pi at stage 0 is exactly {e} x H0
-kernel = kernel_at_stage(sys_d, 0)
-print("kernel size:", len(kernel))
+# the kernel of pi at stage 0 is exactly {e} x H0, a mask over the stage's positions
+kernel = kernel_at_stage(tower, 0)
+print("kernel size:", kernel.bit_count())
 
 # the quotient by that kernel is the base again, verified by brute force
-check = quotient_is_A(sys_d, 0)
+check = quotient_is_A(tower, 0)
 print("stage0 / kernel is the base:", check.verified)
 
 # normal closures of kernel elements swallow the whole kernel: H0 is simple
 t = next(h for h in tower.h_stages[0].elements() if not h.is_identity())
-rep = check_normal_absorption(sys_d, 0, tower.sums[0].inject_b(t))
+rep = check_normal_absorption(tower, 0, tower.sums[0].inject_b(t))
 print("closure order:", rep.closure_order, "contains kernel:", rep.contains_kernel)
 
 # base-block elements are a different story: deciding their absorption
 # needs later stages, and the truncation boundary is reported honestly
 s = tower.sums[0].inject_a(base.gens[0])
-edge = check_normal_absorption(sys_d, 0, s)
+edge = check_normal_absorption(tower, 0, s)
 print("base element note:", edge.boundary_note)
 
 # depth 2 would need a Cayley embedding on 120 + 2 points, whose

@@ -39,12 +39,10 @@ from .groups import (
 )
 from .limits import (
     DEFAULT_POINT_BUDGET,
-    LimitElement,
     build_D,
     check_normal_absorption,
     kernel_at_stage,
     make_cayley_tower,
-    project_pi,
     quotient_is_A,
 )
 from .manifest import format_manifest, sha256_hex
@@ -303,19 +301,20 @@ def _tower_sections(tower, sys_d) -> tuple[list, bool]:
     pi_ok = tower.depth == 0 or np.array_equal(
         sys_d.maps[0].mapping[:, :da], [x.images[:da] for x in g0.elements()]
     )
-    kernel = kernel_at_stage(sys_d, 0)
-    member_ok = all(project_pi(sys_d, LimitElement(0, x)).is_identity() == (x in kernel)
-                    for x in g0.elements())
-    quo = quotient_is_A(sys_d, 0)
-    inject = tower.sums[0].inject_b
-    absorption = [check_normal_absorption(sys_d, 0, inject(t))
-                  for t in tower.h_stages[0].elements() if not t.is_identity()]
+    # pi's kernel is the positions whose A block is the identity
+    kernel = kernel_at_stage(tower, 0)
+    a_identity = tuple(range(da))
+    member_ok = kernel == sum(1 << i for i, x in enumerate(g0.elements())
+                              if x.images[:da] == a_identity)
+    quo = quotient_is_A(tower, 0)
+    absorption = [check_normal_absorption(tower, 0, x) for i, x in enumerate(g0.elements())
+                  if i and kernel >> i & 1]  # position 0 is the identity
     absorb_all = all(rep.contains_kernel for rep in absorption)
     a_nontrivial = [s for s in tower.base.elements() if not s.is_identity()]
     base_note = "-"
     if a_nontrivial:
         inject_a = tower.sums[0].inject_a
-        rep = check_normal_absorption(sys_d, 0, inject_a(a_nontrivial[0]))
+        rep = check_normal_absorption(tower, 0, inject_a(a_nontrivial[0]))
         base_note = rep.boundary_note or "absorbed"
     checks_ok = pi_ok and member_ok and quo.verified and absorb_all
     section = [

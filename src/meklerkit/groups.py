@@ -409,7 +409,7 @@ def direct_sum(a: PermGroup, b: PermGroup) -> DirectSum:
     The sum's element budget is the smaller of the factors' budgets.
     """
     da, db = a.degree, b.degree
-    left = [Perm._make(g.images + tuple(range(da, da + db))) for g in a.gens]
+    left = [g.extend(da + db) for g in a.gens]
     right = [Perm._make(tuple(range(da)) + tuple(x + da for x in g.images)) for g in b.gens]
     try:
         known = a.order() * b.order()
@@ -624,19 +624,6 @@ def _onto(codomain: PermGroup, pools):
 # structural queries
 # ---------------------------------------------------------------------------
 
-def _conjugates(g: PermGroup, i: int) -> list[int]:
-    """Positions of the class of elements[i], in the order a FIFO walk over g.gens finds them."""
-    steps = g._indexed().conjugators()
-    orbit, seen = [i], {i}
-    for y in orbit:
-        for row, undo in steps:
-            z = undo[row[y]]  # s y s^-1
-            if z not in seen:
-                seen.add(z)
-                orbit.append(z)
-    return orbit
-
-
 def conjugacy_classes(g: PermGroup) -> list[tuple[Perm, ...]]:
     """Conjugacy classes in deterministic order (by first element found)."""
     els = g.elements()
@@ -644,7 +631,7 @@ def conjugacy_classes(g: PermGroup) -> list[tuple[Perm, ...]]:
     classes = []
     for i in range(len(els)):
         if i not in seen:
-            orbit = _conjugates(g, i)
+            orbit = [zs[0] for zs in _subgroup_class(g, [i]).values()]
             seen.update(orbit)
             classes.append(tuple(sorted(els[j] for j in orbit)))
     return classes
@@ -659,18 +646,18 @@ def center_elements(g: PermGroup) -> tuple[Perm, ...]:
 
 def derived_subgroup_elements(g: PermGroup) -> tuple[Perm, ...]:
     """G' in g's position order: the normal closure of the generators' commutators."""
-    comms = [~a * ~b * a * b for a, b in itertools.combinations(g.gens, 2)]
+    pos = g._indexed().pos
+    comms = [pos[~a * ~b * a * b] for a, b in itertools.combinations(g.gens, 2)]
     mask = _normal_closure_mask(g, comms)[1]
     return tuple(x for i, x in enumerate(g.elements()) if mask >> i & 1)
 
 
-def _normal_closure_mask(g: PermGroup, xs) -> tuple[list[int], int]:
-    """Positions of the conjugates of xs in g, and the mask of the subgroup they generate."""
-    pos = g._indexed().pos
+def _normal_closure_mask(g: PermGroup, positions) -> tuple[list[int], int]:
+    """The conjugates of the given positions and the mask of the subgroup they generate."""
     conjugates = {}  # an ordered set; two classes are equal or disjoint
-    for x in xs:
-        if pos[x] not in conjugates:
-            conjugates.update(dict.fromkeys(_conjugates(g, pos[x])))
+    for i in positions:
+        if i not in conjugates:
+            conjugates.update(dict.fromkeys(zs[0] for zs in _subgroup_class(g, [i]).values()))
     mask = _greedy_generators(g, conjugates)[1]
     if mask.bit_count() > g.enum_budget:
         raise EnumerationBudgetError(f"normal closure exceeded budget {g.enum_budget}")
@@ -681,7 +668,7 @@ def normal_closure(g: PermGroup, x: Perm) -> PermGroup:
     """Smallest normal subgroup of g containing x, generated by x's conjugates."""
     if x not in g:
         raise ValueError("element outside the group")
-    conjugates, mask = _normal_closure_mask(g, [x])
+    conjugates, mask = _normal_closure_mask(g, [g._indexed().pos[x]])
     return PermGroup(g.degree, [g.elements()[i] for i in conjugates],
                      known_order=mask.bit_count(), enum_budget=g.enum_budget)
 
@@ -718,12 +705,12 @@ def _bits(mask: int) -> list[int]:
 
 
 def _subgroup_class(g: PermGroup, positions: list[int]) -> dict[int, list[int]]:
-    """The conjugacy class of the subgroup on `positions`, as {mask: positions}.
+    """The class of the set on `positions` (any position list) as {mask: positions}.
 
     Each member's list is the image of `positions` under y -> s y s^-1 for
-    one s that carries the subgroup onto it, so it maps the given elements,
-    in the given order, to the member's.  The walk conjugates by g's
-    generators, reading s y s^-1 from `_Index.conjugators()`.
+    one s that carries the set onto it, so it maps the given elements, in
+    the given order, to the member's.  The walk is FIFO over g's generators,
+    reading s y s^-1 from `_Index.conjugators()`.
     """
     steps = g._indexed().conjugators()
     members = {sum(1 << y for y in positions): positions}
@@ -928,19 +915,18 @@ class Quotient:
     coset_of: list    # coset_of[i]: the coset of g.elements()[i]
 
 
-def quotient_group(g: PermGroup, normal_elements) -> Quotient:
-    """Quotient by a normal subgroup N, as the regular action on its cosets.
+def quotient_group(g: PermGroup, normal: int) -> Quotient:
+    """Quotient by the normal subgroup N (a position mask), as the regular action on its cosets.
 
     The cosets are walked along g's tree: for its step x = a s, xN = (aN)s as
     N is normal.  g's generators act through their rows; one that acts
     trivially or repeats an earlier one is left out."""
-    nset = frozenset(normal_elements)
     ix = g._indexed()
-    if not all(x in ix.pos for x in nset):
+    if normal >> len(ix.elements):
         raise ValueError("subgroup is not inside the group")
-    npos = sorted(ix.pos[x] for x in nset)
+    npos = _bits(normal)
     # a normal subgroup is exactly a set that equals its own normal closure
-    if _normal_closure_mask(g, nset)[1] != sum(1 << i for i in npos):
+    if _normal_closure_mask(g, npos)[1] != normal:
         raise ValueError("not a normal subgroup")
     coset_of, cosets = [-1] * len(ix.elements), [npos]  # N is coset 0
     for y in npos:

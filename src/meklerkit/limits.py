@@ -43,10 +43,9 @@ class LimitElement:
 class DirectSystem:
     """Stages connected by injective homs; stage i maps into stage i+1."""
 
-    def __init__(self, stages, maps, d_meta=None):
+    def __init__(self, stages, maps):
         self.stages = list(stages)
         self.maps = list(maps)
-        self.d_meta = d_meta
         if len(self.maps) != len(self.stages) - 1:
             raise ValueError("need exactly one map between consecutive stages")
         for i, h in enumerate(self.maps):
@@ -192,22 +191,15 @@ def build_D(tower: DTower) -> DirectSystem:
             second = tuple(x + da for x in f(gen).images)
             gen_images.append(Perm(first + second))
         maps.append(Hom(g_i, g_next, gen_images, name=f"phi_{i}"))
-    return DirectSystem(stages, maps, d_meta=tower)
+    return DirectSystem(stages, maps)
 
 
-def _tower_meta(sys: DirectSystem) -> DTower:
-    if sys.d_meta is None:
-        raise ValueError("not a tower-built system: no first-coordinate data")
-    return sys.d_meta
-
-
-def project_pi(sys: DirectSystem, x: LimitElement) -> Perm:
+def project_pi(tower: DTower, x: LimitElement) -> Perm:
     """First-coordinate projection; well defined at every stage.
 
     phi_i never touches the A-block, so the projection commutes with the
     connecting maps and the result is independent of the stage.
     """
-    tower = _tower_meta(sys)
     da = tower.base.degree
     value = Perm(tuple(x.value.images[:da]))
     if value not in tower.base:
@@ -215,11 +207,9 @@ def project_pi(sys: DirectSystem, x: LimitElement) -> Perm:
     return value
 
 
-def kernel_at_stage(sys: DirectSystem, stage: int) -> frozenset:
-    """{e_A} x H_stage as a set of stage elements (stage must be enumerable)."""
-    tower = _tower_meta(sys)
-    inject = tower.sums[stage].inject_b
-    return frozenset(inject(t) for t in tower.h_stages[stage].elements())
+def kernel_at_stage(tower: DTower, stage: int) -> int:
+    """{e_A} x H_stage as a mask over the stage's positions (stage must be enumerable)."""
+    return sum(1 << i for i in tower.sums[stage].inject_b.positions())
 
 
 @dataclass(frozen=True)
@@ -230,12 +220,9 @@ class QuotientCheck:
     verified: bool
 
 
-def quotient_is_A(sys: DirectSystem, stage: int) -> QuotientCheck:
+def quotient_is_A(tower: DTower, stage: int) -> QuotientCheck:
     """Quotient stage / ({e} x H_stage) with a brute-verified iso to A."""
-    tower = _tower_meta(sys)
-    g = sys.stages[stage]
-    kernel = kernel_at_stage(sys, stage)
-    quo = quotient_group(g, kernel)
+    quo = quotient_group(tower.sums[stage].group, kernel_at_stage(tower, stage))
     iso = brute_iso(quo.group, tower.base)
     # brute_iso yields only bijections (onto A from a group of A's order) that
     # already passed the all-pairs verify_hom_table inside _iso_search
@@ -254,7 +241,7 @@ class AbsorptionReport:
 
 
 def check_normal_absorption(
-    sys: DirectSystem, stage: int, x: Perm
+    tower: DTower, stage: int, x: Perm
 ) -> AbsorptionReport:
     """Does the normal closure of x at this stage contain {e} x H_stage?
 
@@ -263,16 +250,15 @@ def check_normal_absorption(
     H-coordinate), and a Cayley tower's next stage is past the element
     budget, so such a miss is marked inconclusive rather than forced.
     """
-    tower = _tower_meta(sys)
-    g = sys.stages[stage]
+    g = tower.sums[stage].group
     if x.is_identity():
         raise ValueError("absorption is about nontrivial elements")
     if x not in g:
         raise ValueError("element is not in the requested stage")
     da = tower.base.degree
     h_trivial = all(x.images[i] == i for i in range(da, g.degree))
-    closure = _normal_closure_mask(g, [x])[1]
-    kernel = sum(1 << i for i in tower.sums[stage].inject_b.positions())
+    closure = _normal_closure_mask(g, [g._indexed().pos[x]])[1]
+    kernel = kernel_at_stage(tower, stage)
     contains = not kernel & ~closure
     note = "inconclusive at truncation boundary" if h_trivial and not contains else None
     return AbsorptionReport(

@@ -74,6 +74,12 @@ def test_nice_exit_codes(tmp_path, capsys):
     assert "nice: False" in out
     assert "violation:" in out
 
+    # 0 and 1 are adjacent and 2 is isolated: (2, 0) is unseparated, and only
+    # the pairs (0, 1) and (1, 0) are separated by their own second vertex alone
+    edge = write(tmp_path, "edge.txt", "p graph 3\ne 0 1\n")
+    assert main(["nice", edge]) == 1
+    assert "self_only_pairs: 2" in capsys.readouterr().out.splitlines()
+
 
 def test_parse_failures_exit_2(tmp_path, capsys):
     garbage = write(tmp_path, "bad.txt", "p graph 2\ne 0 7\n")
@@ -254,6 +260,14 @@ def test_tower_over_s4xc2_prints_the_golden_bytes(tmp_path, capsys):
     assert main(["tower", "--a", base, "--depth-d", "1"]) == 0
     out = capsys.readouterr().out
     assert hashlib.sha256(out.encode()).hexdigest() == S4XC2_TOWER_SHA256
+
+
+def test_depth_zero_tower_prints_the_golden_bytes(capsys):
+    # no connecting map: pi_commutes holds vacuously and f_injective reads "-"
+    assert main(["tower", "--depth-d", "0"]) == 0
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == (
+        "43a568d435cb244acb05052ad30b0429b2922d59f4a65bccd15767dbed69d1ab")
 
 
 def test_tower_depth_two_over_budget(capsys):

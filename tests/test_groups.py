@@ -318,7 +318,8 @@ def test_is_surjective_never_enumerates_the_codomain():
     with pytest.raises(EnumerationBudgetError):
         f.codomain.elements()
     s4 = symmetric_group(4)
-    to_s3 = quotient_group(s4, [x for x in s4.elements() if x.order() <= 2 and x.is_even()])
+    v4 = _mask(s4, [x for x in s4.elements() if x.order() <= 2 and x.is_even()])
+    to_s3 = quotient_group(s4, v4)
     assert Hom(s4, to_s3.group, to_s3.group.gens).is_surjective()
 
 
@@ -641,8 +642,8 @@ def test_normal_closure_inherits_the_parent_budget():
 
 def test_normal_closure_against_sympy():
     # stage 0 of the default tower, C2 (+) Alt(5)
-    sys_d = build_D(make_cayley_tower(cyclic_group(2), alternating_group(5), 0))
-    stage = sys_d.stages[0]
+    tower = make_cayley_tower(cyclic_group(2), alternating_group(5), 0)
+    stage = tower.sums[0].group
     for g in [symmetric_group(4), dihedral_group(5), quaternion_group(),
               alternating_group(5), stage]:
         oracle = PermutationGroup([Permutation(list(s.images)) for s in g.gens])
@@ -652,7 +653,7 @@ def test_normal_closure_against_sympy():
             got = normal_closure(g, x)
             assert frozenset(got.elements()) == want and got.order() == len(want), (g, x)
             if g is stage and not x.is_identity():
-                rep = check_normal_absorption(sys_d, 0, x)
+                rep = check_normal_absorption(tower, 0, x)
                 assert rep.closure_order == len(want), x
 
 
@@ -1116,20 +1117,24 @@ def test_cayley_embedding_even():
                 assert f(x * y) == f(x) * f(y)
 
 
+def _mask(g, elements):
+    """The mask of `elements` over g's positions."""
+    pos = g._indexed().pos
+    return sum(1 << pos[x] for x in set(elements))
+
+
 def test_quotients():
     s4 = symmetric_group(4)
-    v4 = frozenset(
-        [Perm((0, 1, 2, 3)), Perm((1, 0, 3, 2)), Perm((2, 3, 0, 1)), Perm((3, 2, 1, 0))]
-    )
-    q = quotient_group(s4, v4)
+    v4 = [Perm((0, 1, 2, 3)), Perm((1, 0, 3, 2)), Perm((2, 3, 0, 1)), Perm((3, 2, 1, 0))]
+    q = quotient_group(s4, _mask(s4, v4))
     assert q.group.order() == 6
     assert brute_iso(q.group, symmetric_group(3)) is not None
     s3 = symmetric_group(3)
-    a3 = frozenset(p for p in s3.elements() if p.is_even())
-    q2 = quotient_group(s3, a3)
+    a3 = [p for p in s3.elements() if p.is_even()]
+    q2 = quotient_group(s3, _mask(s3, a3))
     assert brute_iso(q2.group, cyclic_group(2)) is not None
     with pytest.raises(ValueError):
-        quotient_group(s3, frozenset([Perm((0, 1, 2)), Perm((1, 0, 2))]))
+        quotient_group(s3, _mask(s3, [Perm((0, 1, 2)), Perm((1, 0, 2))]))
 
 
 def test_quotient_refuses_what_is_not_a_normal_subgroup():
@@ -1138,20 +1143,21 @@ def test_quotient_refuses_what_is_not_a_normal_subgroup():
     double_transpositions = [x for x in s4.elements() if x.order() == 2 and x.is_even()]
     assert len(three_cycles) == 2 and len(double_transpositions) == 3
     c4 = cyclic_group(4)
-    for g, normal in [(s3, three_cycles), (s4, double_transpositions),
-                      (s3, [s3.identity(), Perm((1, 0, 2))]),  # a subgroup, not normal
-                      (s3, []),
-                      (c4, [c4.identity(), Perm((1, 0, 3, 2))]),  # outside C4
-                      (s3, [Perm.identity(4)])]:  # outside S3: another degree
+    half_turn = _mask(c4, [c4.identity(), c4.gens[0] * c4.gens[0]])
+    assert quotient_group(c4, half_turn).group.order() == 2
+    for g, normal in [(s3, _mask(s3, three_cycles)), (s4, _mask(s4, double_transpositions)),
+                      (s3, _mask(s3, [s3.identity(), Perm((1, 0, 2))])),  # a subgroup, not normal
+                      (s3, 0),  # the empty set
+                      (c4, half_turn | 1 << 4)]:  # a position past C4's four
         with pytest.raises(ValueError):
             quotient_group(g, normal)
-    assert quotient_group(s4, double_transpositions + [s4.identity()]).group.order() == 6
+    v4 = _mask(s4, double_transpositions + [s4.identity()])
+    assert quotient_group(s4, v4).group.order() == 6
 
 
 def test_quotient_projection_is_hom():
     s3 = symmetric_group(3)
-    a3 = frozenset(p for p in s3.elements() if p.is_even())
-    q = quotient_group(s3, a3)
+    q = quotient_group(s3, _mask(s3, [p for p in s3.elements() if p.is_even()]))
     projection = dict(zip(s3.elements(), q.coset_of))
     reps = [s3.elements()[q.coset_of.index(j)] for j in range(q.group.degree)]
 
@@ -1181,8 +1187,9 @@ def _perm_quotient(g, normal):
 
 
 def _stage0_and_kernel(base):
-    sys = build_D(make_cayley_tower(base, alternating_group(5), 0))
-    return sys.stages[0], kernel_at_stage(sys, 0)
+    tower = make_cayley_tower(base, alternating_group(5), 0)
+    stage, kernel = tower.sums[0].group, kernel_at_stage(tower, 0)
+    return stage, [x for i, x in enumerate(stage.elements()) if kernel >> i & 1]
 
 
 def _quotient_cases():
@@ -1206,7 +1213,7 @@ def _quotient_cases():
 @pytest.mark.parametrize("g, normal", _quotient_cases())
 def test_quotient_matches_the_perm_coset_walk(g, normal):
     cosets, projection, gens = _perm_quotient(g, normal)
-    q = quotient_group(g, normal)
+    q = quotient_group(g, _mask(g, normal))
     els = g.elements()
     assert q.coset_of == [projection[x] for x in els]
     assert [frozenset(x for x, j in zip(els, q.coset_of) if j == c)

@@ -130,26 +130,33 @@ def test_tower_point_budget():
         make_cayley_tower(
             cyclic_group(2), alternating_group(5), 1, point_budget=100
         )
+    # stage 1 over C2 acts on |C2 (+) Alt(5)| + 2 = 122 points: a budget of
+    # exactly 122 builds it, and 121 refuses
+    tower = make_cayley_tower(cyclic_group(2), alternating_group(5), 1, point_budget=122)
+    assert tower.h_stages[1].degree == 122
+    with pytest.raises(PointBudgetError):
+        make_cayley_tower(cyclic_group(2), alternating_group(5), 1, point_budget=121)
 
 
 def tower_laws(base):
     tower = make_cayley_tower(base, alternating_group(5), 1)
     sys = build_D(tower)
     g0 = sys.stages[0]
+    assert g0 is tower.sums[0].group
     assert g0.order() == base.order() * 60
-    kernel = kernel_at_stage(sys, 0)
-    assert len(kernel) == 60
+    kernel = kernel_at_stage(tower, 0)
+    assert kernel.bit_count() == 60
     for x in g0.elements():
         lift = sys.element(0, x)
-        assert project_pi(sys, sys.push(lift, 1)) == project_pi(sys, lift)
-    q = quotient_is_A(sys, 0)
+        assert project_pi(tower, sys.push(lift, 1)) == project_pi(tower, lift)
+    q = quotient_is_A(tower, 0)
     assert q.verified
     h0 = tower.h_stages[0]
     inj_b = tower.sums[0].inject_b
     for t in h0.elements():
         if t.is_identity():
             continue
-        rep = check_normal_absorption(sys, 0, inj_b(t))
+        rep = check_normal_absorption(tower, 0, inj_b(t))
         assert not rep.h_coordinate_trivial
         assert rep.contains_kernel
     return tower, sys
@@ -162,8 +169,7 @@ def test_quotient_is_A_checks_its_iso_once(monkeypatch, base):
     real = meklerkit.groups.verify_hom_table
     monkeypatch.setattr(meklerkit.groups, "verify_hom_table",
                         lambda h: calls.append(h) or real(h))
-    sys = build_D(make_cayley_tower(base, alternating_group(5), 0))
-    q = quotient_is_A(sys, 0)
+    q = quotient_is_A(make_cayley_tower(base, alternating_group(5), 0), 0)
     assert q.verified and q.iso.is_injective()
     assert len(calls) == 1 and calls[0] is q.iso
 
@@ -173,13 +179,13 @@ def test_quotient_is_A_builds_one_table_per_isomorphism(monkeypatch):
     # it directly and proves one table, not one on a copy and one on the quotient
     s4xc2 = PermGroup(6, [Perm((1, 2, 3, 0, 4, 5)), Perm((1, 0, 2, 3, 4, 5)),
                           Perm((0, 1, 2, 3, 5, 4))])
-    sys = build_D(make_cayley_tower(s4xc2, alternating_group(5), 0))
-    kernel_at_stage(sys, 0)  # builds the H block's injection table first
+    tower = make_cayley_tower(s4xc2, alternating_group(5), 0)
+    kernel_at_stage(tower, 0)  # builds the H block's injection table first
     builds = []
     real = meklerkit.groups.Hom._build_table
     monkeypatch.setattr(meklerkit.groups.Hom, "_build_table",
                         lambda h: builds.append(h) or real(h))
-    q = quotient_is_A(sys, 0)
+    q = quotient_is_A(tower, 0)
     assert q.verified and q.quotient.order() == 48
     assert builds == [q.iso]
 
@@ -188,7 +194,7 @@ def test_tower_laws_c2():
     tower, sys = tower_laws(cyclic_group(2))
     # elements supported on the base only are inconclusive at the boundary
     s = tower.sums[0].inject_a(cyclic_group(2).gens[0])
-    rep = check_normal_absorption(sys, 0, s)
+    rep = check_normal_absorption(tower, 0, s)
     assert rep.h_coordinate_trivial
     assert not rep.contains_kernel
     assert rep.boundary_note == "inconclusive at truncation boundary"
@@ -205,27 +211,24 @@ def test_tower_laws_s3():
 def test_mixed_coordinate_elements_absorb():
     # (s, t) with t nontrivial absorbs the kernel regardless of s
     tower = make_cayley_tower(cyclic_group(2), alternating_group(5), 1)
-    sys = build_D(tower)
     mix = tower.sums[0].inject_a(cyclic_group(2).gens[0]) * tower.sums[
         0
     ].inject_b(alternating_group(5).gens[0])
-    rep = check_normal_absorption(sys, 0, mix)
+    rep = check_normal_absorption(tower, 0, mix)
     assert not rep.h_coordinate_trivial
     assert rep.contains_kernel
 
 
 def test_absorption_argument_rejects_identity():
     tower = make_cayley_tower(cyclic_group(2), alternating_group(5), 1)
-    sys = build_D(tower)
     with pytest.raises(ValueError):
-        check_normal_absorption(sys, 0, sys.stages[0].identity())
+        check_normal_absorption(tower, 0, tower.sums[0].group.identity())
 
 
 def test_kernel_not_enumerable_past_truncation():
     tower = make_cayley_tower(cyclic_group(2), alternating_group(5), 1)
-    sys = build_D(tower)
     with pytest.raises(EnumerationBudgetError):
-        kernel_at_stage(sys, 1)
+        kernel_at_stage(tower, 1)
 
 
 def test_phi_plants_whole_stage_into_next_block():
@@ -246,18 +249,16 @@ def test_phi_plants_whole_stage_into_next_block():
     assert len(seen) == 120  # f_0 is injective on the whole stage
 
 
-def test_project_pi_needs_tower_metadata():
-    sys = two_stage_system()
-    with pytest.raises(ValueError):
-        project_pi(sys, sys.element(0, cyclic_group(2).gens[0]))
-
-
 def test_dtower_validation():
     c2 = cyclic_group(2)
     a5 = alternating_group(5)
     sum0 = direct_sum(c2, a5)
     with pytest.raises(ValueError):
         DTower(c2, [a5, a5], [sum0], [])  # counts inconsistent
+    # a depth-1 tower with one sum dropped: the f count is right, the sum count is not
+    t = make_cayley_tower(c2, a5, 1)
+    with pytest.raises(ValueError, match="counts are inconsistent"):
+        DTower(t.base, t.h_stages, t.sums[:1], t.f_maps)
 
 
 @pytest.mark.parametrize("image, message", [

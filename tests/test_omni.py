@@ -253,8 +253,10 @@ def test_audit_up_to_conjugacy_matches_the_per_row_audit(base, search_bound):
     tower = make_cayley_tower(base, alternating_group(5), 0)
     rep = omni_audit(tower.sums[0].group, 2, 6, search_bound=search_bound,
                      h_block=tower.sums[0].inject_b)
-    sys = build_D(make_cayley_tower(base, alternating_group(5), 0))
-    want = _per_row_audit(sys.stages[0], 2, 6, search_bound, kernel_at_stage(sys, 0))
+    fresh = make_cayley_tower(base, alternating_group(5), 0)
+    stage, kernel = fresh.sums[0].group, kernel_at_stage(fresh, 0)
+    block = {x for i, x in enumerate(stage.elements()) if kernel >> i & 1}
+    want = _per_row_audit(stage, 2, 6, search_bound, block)
     assert rep.rows == want
     assert any(r.flag == "h-lift-miss" for r in want) == (search_bound == 4)
 
