@@ -296,10 +296,10 @@ def cmd_omni(args) -> int:
 def _tower_sections(tower, sys_d) -> tuple[list, bool]:
     """The tower manifest (header and checks) and whether every check held."""
     g0 = sys_d.stages[0]
-    # row i of phi_0's table is phi_0(g0.elements()[i]); pi reads its first da points
+    # phi_0(x) keeps x's A block: column p of phi_0 is x(p) over every x, for p < da
     da = tower.base.degree
-    pi_ok = tower.depth == 0 or np.array_equal(
-        sys_d.maps[0].mapping[:, :da], [x.images[:da] for x in g0.elements()]
+    pi_ok = tower.depth == 0 or all(
+        sys_d.maps[0].column(p) == [x.images[p] for x in g0.elements()] for p in range(da)
     )
     # pi's kernel is the positions whose A block is the identity
     kernel = kernel_at_stage(tower, 0)

@@ -204,6 +204,7 @@ class _Index(NamedTuple):
     tree: list       # (a, i, k): the walk's step that first reached i
     rows: list       # rows[a]: row(a) once built, else None
     undo: list       # undo[k]: the inverse of right[k], once a conjugation needs it
+    left: list       # (a, y, k), elements[y] = gens[k] elements[a]: the left walk, once built
 
     def row(self, a: int) -> list[int]:
         """Positions of elements[a] * elements[i] for every i, built once along the tree."""
@@ -224,6 +225,20 @@ class _Index(NamedTuple):
                     inv[c] = i
                 self.undo.append(inv)
         return [(self.row(r[0]), inv) for r, inv in zip(self.right, self.undo)]
+
+    def left_walk(self) -> tuple[list[list[int]], list]:
+        """(row(s) for each generator s, the steps of a breadth-first walk of left steps
+        s x from position 0 that reach every other position once), the walk built once."""
+        lefts = [self.row(r[0]) for r in self.right]
+        if not self.left:
+            order, reached = [0], {0}  # positions in the order the walk reaches them
+            for a in order:
+                for k, row in enumerate(lefts):
+                    if row[a] not in reached:
+                        reached.add(row[a])
+                        order.append(row[a])
+                        self.left.append((a, row[a], k))
+        return lefts, self.left
 
 
 class PermGroup:
@@ -276,7 +291,7 @@ class PermGroup:
                     f"enumeration exceeded element budget {self.enum_budget}"
                 )
             els, pos, right, tree = walk
-            self._index = _Index(tuple(els), pos, right, tree, [None] * len(els), [])
+            self._index = _Index(tuple(els), pos, right, tree, [None] * len(els), [], [])
         return self._index
 
     def order(self) -> int:
@@ -403,9 +418,9 @@ class DirectSum:
 def direct_sum(a: PermGroup, b: PermGroup) -> DirectSum:
     """Block direct sum with its two block injections as homs.
 
-    The maps are verified on use (building a hom's element table is itself
-    the complete verification); for factors past the element budget they
-    stay symbolic and any forced evaluation raises the budget error.
+    The maps are verified on use (`Hom.verify` is the complete proof and
+    fills no table); for factors past the element budget they stay symbolic
+    and any forced evaluation raises the budget error.
     The sum's element budget is the smaller of the factors' budgets.
     """
     da, db = a.degree, b.degree
@@ -439,20 +454,19 @@ def direct_sum(a: PermGroup, b: PermGroup) -> DirectSum:
 # ---------------------------------------------------------------------------
 
 class Hom:
-    """Homomorphism fixed by generator images; table built lazily.
+    """Homomorphism fixed by generator images, proved on columns; rows filled on demand.
 
-    The table is one integer array over domain positions: row i holds the
-    images of the codomain points under the image of `domain.elements()[i]`,
-    in the smallest signed dtype that holds the codomain degree, so it takes
-    |domain| x degree x itemsize bytes.  It is filled along the walk's tree,
-    T[x g] = T[x] f(g), then T[g x](p) == f(g)(T[x](p)) is checked for every
-    generator g and element x at one point p per orbit of I = <f(gens)>
-    (`_orbit_columns`).  That is a complete proof, so a Hom whose `mapping`
-    exists needs no further verification: f(w)(p) == T[w](p) for every word
-    w, so for words w, w' of one value f(w) and f(w') agree at f(u)(p)
-    for every word u, i.e. on all of I p, and I fixes the other points.
-    `mapping` is the table itself; `hom(x)` reads one row of it as a `Perm`
-    and `positions()` reads every row as a codomain position.
+    `verify()` proves the map at one point p, smallest first, of each orbit of
+    I = <f(gens)> that an image moves (`_orbit_columns`).  Column p holds f(x)(p)
+    for every domain position x, filled along the domain's left walk,
+    f(g x)(p) = f(g)(f(x)(p)), and col[g x] == f(g)(col[x]) is checked for every
+    generator g and element x.  That is a complete proof: f(w)(p) == col[w] for
+    every word w, so for words w, w' of one value f(w) and f(w') agree at f(u)(p)
+    for every word u, i.e. on all of I p, and I fixes the other points.  The kept
+    columns decide `is_injective()`; `column(p)` reads any point's column.  The row
+    table `mapping` (row i: the image of `domain.elements()[i]` as codomain points,
+    smallest signed dtype) is filled along the walk's tree, T[x g] = T[x] f(g), only
+    for `hom(x)` off the generators, `positions()` (kept) and `is_surjective()`.
     """
 
     def __init__(self, domain: PermGroup, codomain: PermGroup, gen_images, name=None):
@@ -467,36 +481,25 @@ class Hom:
                 raise ValueError("image degree mismatch")
             if im not in codomain:
                 raise ValueError("generator image outside codomain")
-        self._mapping = None  # the table, once built and proved
+        self._columns = None  # {p: column p} for one point per moved orbit, once proved
+        self._mapping = None  # the row table, once filled
+        self._positions = None  # positions(), once read
 
     @property
     def mapping(self) -> np.ndarray:
         if self._mapping is None:
-            self._mapping = self._build_table()
+            self._mapping = self.verify()._build_table()
         return self._mapping
 
     def _build_table(self) -> np.ndarray:
         ix = self.domain._indexed()  # its tree reaches every position but 0
         degree = self.codomain.degree
-        rows = len(ix.elements)
         images = np.array([fg.images for fg in self.gen_images], dtype=np.intp)
         images = images.reshape(len(self.gen_images), degree)
-        table = np.empty((rows, degree), dtype=_point_dtype(degree))
+        table = np.empty((len(ix.elements), degree), dtype=_point_dtype(degree))
         table[0] = np.arange(degree)  # position 0 is the identity
         for a, y, k in ix.tree:  # f(x g) = f(x) f(g) along the BFS tree
             table[y] = table[a].take(images[k])
-        # the proof: f(g x) == f(g) f(x) for every generator g and every x, read at one
-        # point p of each orbit of I = <images>, whose column stays inside I p
-        lefts = [ix.row(r[0]) for r in ix.right]  # g x for every x
-        for col in _orbit_columns(table, self.gen_images).values():
-            at = itemgetter(*col)
-            for row, fg in zip(lefts, self.gen_images):
-                if itemgetter(*row)(col) != at(fg.images):
-                    x = next(x for x in range(rows) if col[row[x]] != fg.images[col[x]])
-                    raise ValueError(
-                        f"generator images do not define a homomorphism "
-                        f"(conflict at {ix.elements[row[x]]!r})"
-                    )
         return table
 
     def __call__(self, x: Perm) -> Perm:
@@ -512,21 +515,40 @@ class Hom:
 
     def positions(self) -> list[int]:
         """The codomain position of each domain element's image, in domain order."""
-        pos = self.codomain._indexed().pos  # a codomain past its budget raises here
-        return [pos[Perm._make(tuple(row.tolist()))] for row in self.mapping]
+        if self._positions is None:
+            pos = self.codomain._indexed().pos  # a codomain past its budget raises here
+            self._positions = [pos[Perm._make(tuple(row.tolist()))] for row in self.mapping]
+        return self._positions
+
+    def column(self, p: int) -> list[int]:
+        """f(x)(p) for each domain element x, in domain order, once the map is proved."""
+        return _column(self.verify().domain._indexed(), self.gen_images, p)
 
     def verify(self) -> "Hom":
-        self.mapping
+        """Prove the map on its orbit columns (see the class), or raise ValueError."""
+        if self._columns is None:
+            ix, columns = self.domain._indexed(), {}
+            lefts = ix.left_walk()[0]  # g x for every x
+            for p, col in _orbit_columns(ix, self.gen_images):
+                at = itemgetter(*col)
+                for row, fg in zip(lefts, self.gen_images):
+                    if itemgetter(*row)(col) != at(fg.images):
+                        x = next(x for x in range(len(col)) if col[row[x]] != fg.images[col[x]])
+                        raise ValueError("generator images do not define a homomorphism "
+                                         f"(conflict at {ix.elements[row[x]]!r})")
+                columns[p] = col
+            self._columns = columns
         return self
 
     def is_injective(self) -> bool:
-        # a hom is injective exactly when its kernel is trivial: count the
-        # identity rows chunk by chunk
-        table = self.mapping
-        ident = np.arange(table.shape[1], dtype=table.dtype)
-        chunk = _chunk_rows(table.shape[1])
-        return sum(int((table[lo:lo + chunk] == ident).all(axis=1).sum())
-                   for lo in range(0, len(table), chunk)) == 1
+        # f(x) is the identity when col[x u] == col[u] for every kept column and every
+        # u, as f(x u)(p) = f(x)(f(u)(p)); only an x with col[x] == p can pass
+        ix, columns = self.domain._indexed(), self.verify()._columns
+        candidates = range(1, len(ix.elements))  # position 0 is the identity
+        for p, col in columns.items():
+            candidates = [x for x in candidates if col[x] == p]
+        kept = [tuple(col) for col in columns.values()]
+        return not any([itemgetter(*ix.row(x))(c) for c in kept] == kept for x in candidates)
 
     def is_surjective(self) -> bool:
         # the image is a subgroup of the codomain, so it is onto when it is as large
@@ -537,25 +559,29 @@ class Hom:
         return f"Hom({self.domain.label()} -> {self.codomain.label()}{nm})"
 
 
-def _orbit_columns(table: np.ndarray, gen_images) -> dict[int, list[int]]:
-    """Column p of a hom table for one point p, smallest first, of each orbit
-    that an image moves: column p lies in p's orbit, so it covers its points."""
-    columns, covered = {}, set()
+def _column(ix: _Index, gen_images, p: int) -> list[int]:
+    """f(x)(p) for every position x of ix, along its left walk: f(g x)(p) = f(g)(f(x)(p))."""
+    images = [fg.images for fg in gen_images]
+    col = [p] * len(ix.elements)  # position 0 is the identity
+    for a, y, k in ix.left_walk()[1]:
+        col[y] = images[k][col[a]]
+    return col
+
+
+def _orbit_columns(ix: _Index, gen_images):
+    """(p, column p) for one point p, smallest first, of each orbit that an image
+    moves, lazily: column p lies in p's orbit, so it covers its points."""
+    covered = set()
     for p in sorted({p for fg in gen_images for p, x in enumerate(fg.images) if p != x}):
         if p not in covered:
-            columns[p] = table[:, p].tolist()
-            covered.update(columns[p])
-    return columns
+            col = _column(ix, gen_images, p)
+            covered.update(col)
+            yield p, col
 
 
 def _point_dtype(degree: int):
     """The smallest signed integer dtype that holds the points 0 .. degree - 1."""
     return np.int8 if degree <= 1 << 7 else np.int16 if degree <= 1 << 15 else np.int32
-
-
-def _chunk_rows(degree: int) -> int:
-    """Rows per slice, so that a slice of a hom table holds about 2^20 entries."""
-    return max(1, (1 << 20) // max(degree, 1))
 
 
 _PAIR_TABLE_LIMIT = 1024  # largest domain given the all-pairs check
@@ -564,7 +590,7 @@ _PAIR_TABLE_LIMIT = 1024  # largest domain given the all-pairs check
 def verify_hom_table(h: Hom) -> bool:
     """Redundant all-pairs table check: f(xy) == f(x)f(y) for all x, y.
 
-    The lazy table build already proves the hom property; this is the
+    `Hom.verify` already proves the hom property; this is the
     belt-and-braces full multiplication-table pass, used before returning
     isomorphisms.  Falls back to the (complete) generator-pair proof when
     the square table would be too large.
@@ -600,8 +626,8 @@ def _order_pool(x: Perm, codomain: PermGroup, exact: bool = False) -> list[Perm]
 def _homs(domain: PermGroup, codomain: PermGroup, candidates):
     """Homs sending the generators to each candidate tuple of images, lazily, in order.
 
-    Candidates whose table build finds a conflict are skipped, so every
-    yielded Hom is verified.
+    Candidates whose proof finds a conflict are skipped, so every yielded
+    Hom is verified; none of them has filled a table.
     """
     for images in candidates:
         try:

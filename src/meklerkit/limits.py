@@ -96,7 +96,7 @@ class DirectSystem:
 
 @dataclass
 class DTower:
-    """Blocks H_i, sums A (+) H_i and injections f_i, each proved but not kept."""
+    """Blocks H_i, sums A (+) H_i and injections f_i, each proved on its columns."""
 
     base: PermGroup            # A
     h_stages: list[PermGroup]  # H_0 .. H_d
@@ -114,8 +114,7 @@ class DTower:
                 raise ValueError(f"f_{i} domain is not A(+)H_{i}")
             if f.codomain is not self.h_stages[i + 1]:
                 raise ValueError(f"f_{i} codomain is not H_{i + 1}")
-            # prove f_i on a copy, so its stage-sized table is freed once proved
-            if not Hom(f.domain, f.codomain, f.gen_images).verify().is_injective():
+            if not f.verify().is_injective():  # the proof and the kernel fill no table
                 raise ValueError(f"f_{i} is not injective")
 
     @property
@@ -153,7 +152,7 @@ def make_cayley_tower(
     |A (+) H_i| + 2 must fit the point budget.  Beyond depth 1 the stage
     orders are factorial in the previous ground set, so the budgets fail
     loudly rather than pretending to represent those groups.  DTower proves
-    each f_i, but keeps no table: `build_D` reads only generator images.
+    each f_i and fills no table: `build_D` reads only generator images.
     """
     if depth < 0:
         raise ValueError("depth must be >= 0")
@@ -169,7 +168,7 @@ def make_cayley_tower(
                 f"stage {i + 1} would act on {order} + 2 points, "
                 f"budget is {point_budget}"
             )
-        f = cayley_embedding_even(cur_sum.group)  # DTower proves it on a copy
+        f = cayley_embedding_even(cur_sum.group)
         f_maps.append(f)
         h_stages.append(f.codomain)
     sums.append(direct_sum(base, h_stages[depth]))

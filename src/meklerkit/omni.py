@@ -124,7 +124,7 @@ def _first_witness(query: OmniQuery, extensions) -> OmniWitness | None:
     """The first H of `extensions` (`_extensions` of F) with a surjection onto
     the target extending psi.  |target| must divide |H|.  F's generators go to
     psi's images and y to each element whose order divides its own, which loses
-    no hom; only image tuples that generate the target get a hom table.
+    no hom; only image tuples that generate the target are proved.
     """
     target = query.target
     fixed = [[query.psi(x)] for x in query.sub_f.gens]

@@ -234,19 +234,27 @@ def test_tower_manifest_and_checks(capsys):
 
 
 @pytest.mark.parametrize("row", [0, 57, 119])
-def test_tower_pi_check_sees_a_corrupted_a_block(row):
-    # the pi check reads the A-block of every phi_0 table row, so reversing
-    # the C2 block of any one row, first to last, makes it fail
+def test_tower_pi_check_sees_a_corrupted_a_block(monkeypatch, row):
+    # the pi check reads phi_0's A-block columns at every stage-0 position, so
+    # reversing the C2 block of any one element's image, first to last, makes it fail
     tower, sys_d = _build_tower(
         _load_base(None), 1, DEFAULT_POINT_BUDGET, DEFAULT_ENUM_BUDGET
     )
     sections, ok = _tower_sections(tower, sys_d)
     assert dict(sections[1])["pi_commutes"] == "yes" and ok
-    table = sys_d.maps[0].mapping
-    da = tower.base.degree
-    table[row, :da] = table[row, :da][::-1].copy()
+    phi, da = sys_d.maps[0], tower.base.degree
+    real = Hom.column
+
+    def corrupted(hom, p):
+        col = real(hom, p)
+        if hom is phi and p < da:
+            col[row] = real(hom, da - 1 - p)[row]
+        return col
+
+    monkeypatch.setattr(Hom, "column", corrupted)
     sections, ok = _tower_sections(tower, sys_d)
     assert dict(sections[1])["pi_commutes"] == "NO" and not ok
+    assert phi._mapping is None  # the check reads columns, never the row table
 
 
 # S4 x C2 on six points, the base of the benchmark's heaviest tower run
@@ -260,6 +268,19 @@ def test_tower_over_s4xc2_prints_the_golden_bytes(tmp_path, capsys):
     assert main(["tower", "--a", base, "--depth-d", "1"]) == 0
     out = capsys.readouterr().out
     assert hashlib.sha256(out.encode()).hexdigest() == S4XC2_TOWER_SHA256
+
+
+def test_tower_over_s4xc2_fills_no_stage_sized_table(tmp_path, monkeypatch):
+    # the tower checks prove f_0 and phi_0 on columns: the only row tables filled
+    # are the H block's injection (60 rows) and the quotient's iso to A (48 rows)
+    filled = []
+    real = Hom._build_table
+    monkeypatch.setattr(Hom, "_build_table", lambda h: filled.append(h) or real(h))
+    tower, sys_d = _build_tower(_load_base(write(tmp_path, "s4xc2.txt", S4XC2_GROUP)), 1,
+                                DEFAULT_POINT_BUDGET, DEFAULT_ENUM_BUDGET)
+    ok = _tower_sections(tower, sys_d)[1]
+    assert ok and tower.f_maps[0]._mapping is None and sys_d.maps[0]._mapping is None
+    assert sorted(len(h.domain.elements()) for h in filled) == [48, 60]
 
 
 def test_depth_zero_tower_prints_the_golden_bytes(capsys):
@@ -389,6 +410,32 @@ def test_omni_dstage_report_over_s3_is_pinned(tmp_path, capsys):
     assert hashlib.sha256(out.encode()).hexdigest() == (
         "38588a50ae85db776716aa0c5ec1d5e351c2a341cee5871f0d7253bc41283e5b"
     )
+
+
+def test_omni_dstage_report_over_s3_with_f_up_to_6_is_pinned(tmp_path, capsys):
+    # every F of S3 (+) Alt(5) up to order 6: the column proofs of the psi with |F| = 6
+    grp = write(tmp_path, "s3.txt", "p group 3\ng: 1 0 2\ng: 1 2 0\n")
+    assert main(["omni", "--dstage", grp, "--bound", "6", "6"]) == 1
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == (
+        "fa84989b693ac5b11ac65042721f88dc6409dc1412a7ecb42bda100eab8b6ebd"
+    )
+
+
+def test_omni_dstage_over_s4xc2_fills_a_table_only_for_proved_homs(tmp_path, capsys,
+                                                                    monkeypatch):
+    # a witness candidate that fails its proof raises before any row is filled:
+    # the audit fills 2,941 tables (4,744 when every candidate filled one)
+    filled = []
+    real = Hom._build_table
+    monkeypatch.setattr(Hom, "_build_table", lambda h: filled.append(h) or real(h))
+    grp = write(tmp_path, "s4xc2.txt", S4XC2_GROUP)
+    assert main(["omni", "--dstage", grp, "--bound", "2", "6", "--h-bound", "12"]) == 1
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == (
+        "14202f7a26e2abbea804029cd888bfb42b7aea2afb40f741595c8c6a12008b03"
+    )
+    assert len(filled) <= 2941
 
 
 def test_omni_dstage_report_over_the_heisenberg_group_is_pinned(tmp_path, capsys):

@@ -428,7 +428,8 @@ def test_tower_hom_proofs_read_one_point_per_orbit():
     cayley = tower.f_maps[0]
     assert (cayley.name, phi.name) == ("cayley_even", "phi_0")
     for hom, points in ((cayley, [0]), (phi, [0, 4, 6])):
-        assert list(_orbit_columns(hom.mapping, hom.gen_images)) == points
+        assert [p for p, _ in _orbit_columns(hom.domain._indexed(), hom.gen_images)] == points
+        assert list(hom.verify()._columns) == points and hom._mapping is None
 
 
 def test_direct_sum_hom_tables_match_reference():
@@ -460,6 +461,34 @@ def test_enumerated_hom_tables_match_reference():
             assert_table_matches_reference(hom)
     for f, g in [("Q8", "Q8"), ("S3", "S3"), ("C4xC2", "C4xC2")]:
         assert_table_matches_reference(brute_iso(cat[f], cat[g]))
+
+
+def test_column_proof_and_kernel_match_the_filled_table():
+    # every hom of each pair, non-injective, trivial and not onto among them:
+    # the kernel read off the columns is the table's identity rows, and every
+    # column is the table's column; S3's automorphisms send (1 2) to an element
+    # that fixes the proof's point 0 but is not the identity
+    cat = {g.label(): g for g in small_groups_catalog(8)}
+    pairs = [(cat["S3"], cat["C2"]), (symmetric_group(4), cat["S3"]),
+             (cat["D4"], cat["C2xC2"]), (cat["C2"], cat["S3"]), (cat["Q8"], cat["C4xC2"]),
+             (cat["C2xC2"], cat["C4xC2"]), (cat["C2xC2"], cat["D4"]), (cat["S3"], cat["S3"])]
+    kinds = Counter()
+    for f, g in pairs:
+        for hom in enumerate_homs(f, g):
+            injective = hom.is_injective()
+            assert hom._mapping is None  # the kernel needs no row
+            table = hom.mapping
+            ident = np.arange(g.degree, dtype=table.dtype)
+            assert injective == (int((table == ident).all(axis=1).sum()) == 1)
+            assert all(hom.column(p) == table[:, p].tolist() for p in range(g.degree))
+            kinds.update({"injective": injective, "trivial": not hom.verify()._columns,
+                          "onto": hom.is_surjective(), "homs": True})
+    assert kinds["homs"] > kinds["injective"] > 0 and kinds["trivial"] == len(pairs)
+    assert 0 < kinds["onto"] < kinds["homs"]
+    bad = Hom(cat["C3"], cat["C2"], [cat["C2"].gens[0]])
+    with pytest.raises(ValueError, match="do not define a homomorphism"):
+        bad.verify()
+    assert bad._mapping is None and bad._columns is None
 
 
 def _walk_groups():
@@ -512,7 +541,8 @@ def test_hom_table_rejects_exactly_what_the_reference_rejects(dom, cod, data):
     else:
         assert_table_matches_reference(hom)
         # the points read cover every orbit: with the fixed points they reach every point
-        columns = _orbit_columns(hom.mapping, images)
+        columns = dict(_orbit_columns(dom._indexed(), images))
+        assert columns == hom._columns
         fixed = {p for p in range(cod.degree) if all(fg(p) == p for fg in images)}
         reached = fixed.union(*columns.values())
         assert reached == set(range(cod.degree)) and not fixed & set(columns)
